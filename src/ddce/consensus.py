@@ -292,16 +292,17 @@ def chm(ts: PartitionSet, seed: int = 0) -> Partition:
     return best_p
 
 
-def _bok_index(ts: PartitionSet) -> tuple[int, list[float]]:
+def bok_with_details(ts: PartitionSet) -> tuple[Partition, dict]:
     sums = [nmi_sum(np.asarray(p.labels), ts) for p in ts.partitions]
-    return int(np.argmax(sums)), sums
+    idx = int(np.argmax(sums))
+    return ts.partitions[idx], {"winner_index": idx, "nmi_sums": sums}
 
 
 def bok(ts: PartitionSet) -> Partition:
     """Best of K: the base partition with the highest total agreement with
     all base partitions (lowest model index on ties)."""
-    idx, _ = _bok_index(ts)
-    return ts.partitions[idx]
+    best_p, _ = bok_with_details(ts)
+    return best_p
 
 
 def outlier_vote(ts: PartitionSet) -> OutlierVote:
@@ -319,10 +320,9 @@ def bokv_with_details(ts: PartitionSet) -> tuple[Partition, dict]:
         raise DdceError("bokv requires the base models' validation recalls")
     gate_open = sum(1 for r in ts.val_recalls if r > 0.5) * 2 > ts.k
     if not gate_open:
-        idx, sums = _bok_index(ts)
-        return ts.partitions[idx], {
-            "gate_open": False, "degraded_to_bok": True,
-            "winner_index": idx, "nmi_sums": sums, "n_voted_outliers": None,
+        part, details = bok_with_details(ts)
+        return part, {
+            "gate_open": False, "degraded_to_bok": True, **details, "n_voted_outliers": None,
         }
     vote = outlier_vote(ts)
     if len(vote.i_nout) == 0:
@@ -356,19 +356,19 @@ def bokv(ts: PartitionSet) -> Partition:
     return best_p
 
 
-CONSENSUS_FUNCTIONS = ("CHM", "BOK", "BOKV")
+# Name -> (ts, seed) -> (partition, details). The lambdas look the functions
+# up when called, so a wrapper installed on a module attribute sees the call.
+_DISPATCH = {
+    "CHM": lambda ts, seed: chm_with_details(ts, seed=seed),
+    "BOK": lambda ts, seed: bok_with_details(ts),
+    "BOKV": lambda ts, seed: bokv_with_details(ts),
+}
+CONSENSUS_FUNCTIONS = tuple(_DISPATCH)
 
 
 def run_consensus(name: str, ts: PartitionSet, seed: int = 0) -> tuple[Partition, dict]:
     """Dispatch by consensus function name, returning the partition and a
     diagnostics dict for reporting."""
-    if name == "CHM":
-        part, details = chm_with_details(ts, seed=seed)
-    elif name == "BOK":
-        idx, sums = _bok_index(ts)
-        part, details = ts.partitions[idx], {"winner_index": idx, "nmi_sums": sums}
-    elif name == "BOKV":
-        part, details = bokv_with_details(ts)
-    else:
+    if name not in _DISPATCH:
         raise DdceError(f"unknown consensus function {name!r}, expected one of {CONSENSUS_FUNCTIONS}")
-    return part, details
+    return _DISPATCH[name](ts, seed)

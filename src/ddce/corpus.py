@@ -265,6 +265,8 @@ def _row_to_obj(row: Utterance) -> dict:
 
 
 def _obj_to_row(obj: dict, lineno: int) -> Utterance:
+    if not isinstance(obj, dict):
+        raise DdceError(f"line {lineno}: expected a JSON object, got {type(obj).__name__}")
     try:
         return Utterance(
             id=str(obj["id"]),

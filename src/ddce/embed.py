@@ -104,19 +104,29 @@ class TrainConfig:
     feature_dim: int = 512
     seed: int = 0
 
+    def __post_init__(self):
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise DdceError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.epochs < 0:
+            raise DdceError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise DdceError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.hidden_dim < 1:
+            raise DdceError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
+
 
 @dataclass(frozen=True)
 class EncoderModel:
     """tanh hidden layer plus softmax head; the hidden activation is the
     representation used for clustering."""
 
+    feature_dim: int
+    hidden_dim: int
+    class_labels: tuple[str, ...]
     W: np.ndarray
     b: np.ndarray
     U: np.ndarray
     c: np.ndarray
-    feature_dim: int
-    hidden_dim: int
-    class_labels: tuple[str, ...]
 
 
 def loss_and_grads(

@@ -20,16 +20,6 @@ from .optics import Partition
 OUTLIER_TRUTH_LABEL = -2  # ground-truth class shared by all injected outliers
 
 
-def _relabel_all(labels: np.ndarray) -> np.ndarray:
-    """Renumber every distinct label (including -1, which is an ordinary
-    label to these metrics) by first appearance, for identity checks."""
-    mapping: dict[int, int] = {}
-    out = np.empty(len(labels), dtype=int)
-    for i, lab in enumerate(labels):
-        out[i] = mapping.setdefault(int(lab), len(mapping))
-    return out
-
-
 @dataclass(frozen=True)
 class ContingencyTable:
     counts: np.ndarray
@@ -49,6 +39,11 @@ class ContingencyTable:
             col_totals=counts.sum(axis=0),
             n=int(len(a)),
         )
+
+    def same_grouping(self) -> bool:
+        """True when both labelings induce the same grouping: every label
+        of either side meets exactly one label of the other."""
+        return np.count_nonzero(self.counts) == self.counts.shape[0] == self.counts.shape[1]
 
 
 def _require_aligned(p: Partition, q: Partition) -> None:
@@ -70,9 +65,9 @@ def nmi_labels(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b)
     if len(a) != len(b):
         raise AlignmentError(f"label arrays differ in length: {len(a)} vs {len(b)}")
-    if np.array_equal(_relabel_all(a), _relabel_all(b)):
-        return 1.0
     table = ContingencyTable.from_labels(a, b)
+    if table.same_grouping():
+        return 1.0
     ha = _entropy(table.row_totals, table.n)
     hb = _entropy(table.col_totals, table.n)
     if ha == 0.0 or hb == 0.0:
@@ -107,8 +102,7 @@ def ari_labels(truth: np.ndarray, pred: np.ndarray) -> float:
     expected = sum_a * sum_b / pairs
     maximum = (sum_a + sum_b) / 2.0
     if maximum == expected:
-        same = np.array_equal(_relabel_all(truth), _relabel_all(pred))
-        return 1.0 if same else 0.0
+        return 1.0 if table.same_grouping() else 0.0
     return (index - expected) / (maximum - expected)
 
 

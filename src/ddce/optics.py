@@ -293,11 +293,7 @@ def cluster(
 ) -> Partition:
     """Full density clustering pass: ordering, xi extraction, small-cluster
     outlier filtering."""
-    if x.n == 0:
-        return Partition(labels=np.empty(0, dtype=int), ids=list(x.row_ids))
-    ordering = compute_ordering(x, params, metric)
-    extracted = extract_xi_clusters(ordering, params.xi, params.min_samples)
-    return filter_small_clusters(extracted, s_min)
+    return cluster_with_distances(pairwise_distances(x.data, metric), x.row_ids, params, s_min)
 
 
 def cluster_with_distances(

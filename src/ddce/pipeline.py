@@ -6,9 +6,12 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -16,7 +19,7 @@ from . import consensus as consensus_mod
 from . import metrics, optics
 from .corpus import LabeledDataset, UnlabeledDataset, inject_outliers, inner_split, split_by_intents
 from .embed import EmbeddingMatrix, EncoderModel, TrainConfig, encode, train_encoder
-from .errors import DdceError
+from .errors import ConfigError, DdceError
 from .search import SearchSpace, random_search
 from .util import atomic_write_text, derive_seed, round_half_up, substream
 
@@ -52,11 +55,11 @@ class BaseModelArtifact:
     precomputed embeddings), searched hyperparameters, and validation
     scores including the non-outlier recall used for consensus gating."""
 
-    encoder: EncoderModel | None
+    split_seed: int
     params: optics.OpticsParams
     val_scores: metrics.Scores
-    split_seed: int
     encoder_val_accuracy: float | None = None
+    encoder: EncoderModel | None = None
 
 
 @dataclass(frozen=True)
@@ -431,167 +434,108 @@ def save_csv(csv_text: str, path: str) -> None:
     atomic_write_text(path, csv_text)
 
 
-def _scores_dict(s: metrics.Scores) -> dict:
-    return {"score_c": s.score_c, "score_ari": s.score_ari, "score": s.score}
+def _to_json(value):
+    """JSON-ready form of a dataclass tree: dataclasses become objects in
+    field order, tuples and lists become lists, arrays go through tolist()."""
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [_to_json(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
+
+
+def _from_json(cls, obj, where: str, prefix: str = ""):
+    """Build dataclass ``cls`` from a JSON object, type-checking every value
+    against the field's annotation. Unknown keys and missing fields without
+    a default are rejected; ``where`` names the object in messages and
+    ``prefix`` is prepended to its field names."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected object, got {_json_type(obj)}")
+    unknown = set(obj) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in obj:
+            kwargs[f.name] = _value_from_json(hints[f.name], obj[f.name], prefix + f.name)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{where} is missing {f.name!r}")
+    return cls(**kwargs)
+
+
+_JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string",
+               list: "array", dict: "object", type(None): "null"}
+# bool is an int subclass and is checked apart. A JSON int is a valid float
+# and passes through unchanged, so a re-serialized config keeps its bytes.
+_SCALARS = {int: (int,), float: (int, float), str: (str,)}
+
+
+def _json_type(value) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def _value_from_json(hint, value, path: str):
+    args = get_args(hint)
+    if isinstance(hint, UnionType) and type(None) in args:
+        if value is None:
+            return None
+        (hint,) = [a for a in args if a is not type(None)]
+    elif value is None:
+        raise ConfigError(f"{path} must not be null")
+    if is_dataclass(hint):
+        return _from_json(hint, value, path, path + ".")
+    if get_origin(hint) is tuple:
+        n = None if args[-1] is Ellipsis else len(args)
+        if not isinstance(value, list) or (n is not None and len(value) != n):
+            expected = "array" if n is None else f"array of {n} values"
+            raise ConfigError(f"{path}: expected {expected}, got {json.dumps(value)}")
+        return tuple(_value_from_json(args[0 if n is None else i], v, f"{path}[{i}]")
+                     for i, v in enumerate(value))
+    if hint is np.ndarray:
+        try:
+            return np.array(value, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: expected numeric array: {exc}") from exc
+    if isinstance(value, bool) or not isinstance(value, _SCALARS[hint]):
+        raise ConfigError(f"{path}: expected {_JSON_TYPES[hint]}, got {_json_type(value)}")
+    return value
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
-    return {
-        "k_models": cfg.k_models,
-        "alpha": cfg.alpha,
-        "s_min": cfg.s_min,
-        "search_space": {
-            "max_eps_range": list(cfg.search_space.max_eps_range),
-            "xi_range": list(cfg.search_space.xi_range),
-            "min_samples_range": list(cfg.search_space.min_samples_range),
-            "n_trials": cfg.search_space.n_trials,
-        },
-        "consensus_fn": cfg.consensus_fn,
-        "train_cfg": {
-            "learning_rate": cfg.train_cfg.learning_rate,
-            "epochs": cfg.train_cfg.epochs,
-            "batch_size": cfg.train_cfg.batch_size,
-            "hidden_dim": cfg.train_cfg.hidden_dim,
-            "feature_dim": cfg.train_cfg.feature_dim,
-            "seed": cfg.train_cfg.seed,
-        },
-        "metric": cfg.metric,
-        "outlier_ratio": cfg.outlier_ratio,
-        "master_seed": cfg.master_seed,
-    }
+    return _to_json(cfg)
 
 
-def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise DdceError(f"unknown {where} keys: {sorted(unknown)}")
-
-
-def config_from_dict(obj: dict) -> PipelineConfig:
+def config_from_dict(obj) -> PipelineConfig:
     """Build a config from a JSON object; keys mirror the config fields
-    exactly and unknown keys are rejected."""
-    defaults = PipelineConfig()
-    _check_keys(obj, set(config_to_dict(defaults)), "config")
-    space = defaults.search_space
-    if "search_space" in obj:
-        sub = obj["search_space"]
-        _check_keys(sub, {"max_eps_range", "xi_range", "min_samples_range", "n_trials"},
-                    "search_space")
-        space = SearchSpace(
-            max_eps_range=tuple(sub.get("max_eps_range", space.max_eps_range)),
-            xi_range=tuple(sub.get("xi_range", space.xi_range)),
-            min_samples_range=tuple(sub.get("min_samples_range", space.min_samples_range)),
-            n_trials=sub.get("n_trials", space.n_trials),
-        )
-    train_cfg = defaults.train_cfg
-    if "train_cfg" in obj:
-        sub = obj["train_cfg"]
-        _check_keys(sub, {"learning_rate", "epochs", "batch_size", "hidden_dim",
-                          "feature_dim", "seed"}, "train_cfg")
-        train_cfg = TrainConfig(
-            learning_rate=sub.get("learning_rate", train_cfg.learning_rate),
-            epochs=sub.get("epochs", train_cfg.epochs),
-            batch_size=sub.get("batch_size", train_cfg.batch_size),
-            hidden_dim=sub.get("hidden_dim", train_cfg.hidden_dim),
-            feature_dim=sub.get("feature_dim", train_cfg.feature_dim),
-            seed=sub.get("seed", train_cfg.seed),
-        )
-    return PipelineConfig(
-        k_models=obj.get("k_models", defaults.k_models),
-        alpha=obj.get("alpha", defaults.alpha),
-        s_min=obj.get("s_min", defaults.s_min),
-        search_space=space,
-        consensus_fn=obj.get("consensus_fn", defaults.consensus_fn),
-        train_cfg=train_cfg,
-        metric=obj.get("metric", defaults.metric),
-        outlier_ratio=obj.get("outlier_ratio", defaults.outlier_ratio),
-        master_seed=obj.get("master_seed", defaults.master_seed),
-    )
+    exactly, unknown keys are rejected and values are type-checked."""
+    return _from_json(PipelineConfig, obj, "config")
 
 
 def artifact_to_dict(art: BaseModelArtifact) -> dict:
-    obj = {
-        "split_seed": art.split_seed,
-        "params": {
-            "max_eps": art.params.max_eps,
-            "xi": art.params.xi,
-            "min_samples": art.params.min_samples,
-        },
-        "val_scores": _scores_dict(art.val_scores),
-        "encoder_val_accuracy": art.encoder_val_accuracy,
-    }
-    if art.encoder is None:
-        obj["encoder"] = None
-    else:
-        obj["encoder"] = {
-            "feature_dim": art.encoder.feature_dim,
-            "hidden_dim": art.encoder.hidden_dim,
-            "class_labels": list(art.encoder.class_labels),
-            "W": art.encoder.W.tolist(),
-            "b": art.encoder.b.tolist(),
-            "U": art.encoder.U.tolist(),
-            "c": art.encoder.c.tolist(),
-        }
-    return obj
+    return _to_json(art)
 
 
-def artifact_from_dict(obj: dict) -> BaseModelArtifact:
-    encoder = None
-    if obj.get("encoder") is not None:
-        enc = obj["encoder"]
-        encoder = EncoderModel(
-            W=np.array(enc["W"], dtype=float),
-            b=np.array(enc["b"], dtype=float),
-            U=np.array(enc["U"], dtype=float),
-            c=np.array(enc["c"], dtype=float),
-            feature_dim=int(enc["feature_dim"]),
-            hidden_dim=int(enc["hidden_dim"]),
-            class_labels=tuple(enc["class_labels"]),
-        )
-    params = obj["params"]
-    scores = obj["val_scores"]
-    return BaseModelArtifact(
-        encoder=encoder,
-        params=optics.OpticsParams(
-            max_eps=float(params["max_eps"]), xi=float(params["xi"]),
-            min_samples=int(params["min_samples"]),
-        ),
-        val_scores=metrics.Scores(
-            score_c=float(scores["score_c"]), score_ari=float(scores["score_ari"]),
-            score=float(scores["score"]),
-        ),
-        split_seed=int(obj["split_seed"]),
-        encoder_val_accuracy=obj.get("encoder_val_accuracy"),
-    )
+def artifact_from_dict(obj) -> BaseModelArtifact:
+    return _from_json(BaseModelArtifact, obj, "artifact")
 
 
 def report_to_dict(report: RunReport, cfg: PipelineConfig) -> dict:
     """Deterministic report payload; wall-clock timing is deliberately left
-    out so reruns with the same seed serialize byte-identically."""
+    out so reruns with the same seed serialize byte-identically. Base models
+    are reported without their encoder weights."""
+    base_models = []
+    for art, part in zip(report.artifacts, report.base_partitions.partitions):
+        entry = _to_json(replace(art, encoder=None))
+        del entry["encoder"]
+        base_models.append({**entry, "cluster_count": part.cluster_count()})
     return {
         "config": config_to_dict(cfg),
-        "base_models": [
-            {
-                "split_seed": art.split_seed,
-                "params": {
-                    "max_eps": art.params.max_eps,
-                    "xi": art.params.xi,
-                    "min_samples": art.params.min_samples,
-                },
-                "val_scores": _scores_dict(art.val_scores),
-                "encoder_val_accuracy": art.encoder_val_accuracy,
-                "cluster_count": report.base_partitions.partitions[i].cluster_count(),
-            }
-            for i, art in enumerate(report.artifacts)
-        ],
+        "base_models": base_models,
         "consensus": report.consensus_details,
         "consensus_cluster_count": report.consensus_partition.cluster_count(),
-        "base_test_scores": (
-            None if report.base_test_scores is None
-            else [_scores_dict(s) for s in report.base_test_scores]
-        ),
-        "consensus_test_scores": (
-            None if report.consensus_test_scores is None
-            else _scores_dict(report.consensus_test_scores)
-        ),
+        "base_test_scores": _to_json(report.base_test_scores),
+        "consensus_test_scores": _to_json(report.consensus_test_scores),
     }

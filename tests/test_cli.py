@@ -147,6 +147,47 @@ class TestEnsembleCommand:
                    "--config", bad, "--out", str(tmp_path / "x")) == 2
 
 
+class TestMalformedInputs:
+    """Every malformed input exits 2 with a single ``error:`` line."""
+
+    @pytest.mark.parametrize("config", [
+        {"k_models": "5"},
+        {"alpha": None},
+        {"search_space": {"max_eps_range": [0.5]}},
+        {"search_space": {"n_trials": 2.5}},
+        {"train_cfg": {"batch_size": 0}},
+        {"train_cfg": {"epochs": -1}},
+        [1],
+        {"k_models": True},
+        {"s_min": 2.0},
+    ])
+    def test_bad_config(self, workspace, tmp_path, capsys, config):
+        bad = str(tmp_path / "bad.json")
+        with open(bad, "w") as fh:
+            json.dump(config, fh)
+        code = run("ensemble", "--labeled", workspace["labeled"],
+                   "--unlabeled", workspace["unlabeled"],
+                   "--outlier-source", workspace["source"],
+                   "--config", bad, "--out", str(tmp_path / "x"))
+        self._assert_one_error(code, capsys)
+
+    def test_jsonl_line_not_an_object(self, workspace, tmp_path, capsys):
+        truth = str(tmp_path / "truth.jsonl")
+        with open(truth, "w") as fh:
+            fh.write("[1]\n")
+        pred = str(tmp_path / "pred.jsonl")
+        with open(pred, "w") as fh:
+            fh.write(json.dumps({"id": "a", "cluster": 0}) + "\n")
+        code = run("evaluate", "--truth", truth, "--pred", pred)
+        self._assert_one_error(code, capsys)
+
+    @staticmethod
+    def _assert_one_error(code, capsys):
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:"), err
+
+
 class TestTrainAndBaseline:
     def test_train_writes_artifacts(self, workspace):
         code = run("train", "--labeled", workspace["labeled"],

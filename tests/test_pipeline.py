@@ -6,7 +6,7 @@ import scipy.stats
 
 from ddce.corpus import UnlabeledDataset, Utterance, generate_synthetic
 from ddce.embed import TrainConfig
-from ddce.errors import DdceError
+from ddce.errors import ConfigError, DdceError
 from ddce.metrics import ari_labels
 from ddce.pipeline import (
     PipelineConfig,
@@ -287,6 +287,22 @@ class TestConfigSerialization:
         cfg = config_from_dict({})
         assert cfg == PipelineConfig()
 
+    def test_int_for_float_passes_through(self):
+        obj = {"alpha": 0.5, "search_space": {"max_eps_range": [0, 1], "n_trials": 3}}
+        out = config_to_dict(config_from_dict(obj))
+        assert json.dumps(out["search_space"]["max_eps_range"]) == "[0, 1]"
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"k_models": 2.0}, "k_models: expected integer, got number"),
+        ({"alpha": True}, "alpha: expected number, got boolean"),
+        ({"metric": None}, "metric must not be null"),
+        ({"train_cfg": []}, "train_cfg: expected object, got array"),
+        ({"search_space": {"xi_range": [0.1, 0.2, 0.3]}}, r"search_space.xi_range: expected array of 2"),
+    ])
+    def test_bad_values_rejected(self, obj, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(obj)
+
 
 class TestArtifactSerialization:
     def test_roundtrip_with_encoder(self):
@@ -297,3 +313,10 @@ class TestArtifactSerialization:
         assert back.val_scores == art.val_scores
         assert np.allclose(back.encoder.W, art.encoder.W)
         assert back.encoder.class_labels == art.encoder.class_labels
+
+    def test_missing_required_field_rejected(self):
+        d_l, _, source = make_benchmark()
+        obj = artifact_to_dict(train_base_models(d_l, source, fast_cfg(k_models=1))[0])
+        del obj["encoder"]["W"]
+        with pytest.raises(ConfigError, match="encoder is missing 'W'"):
+            artifact_from_dict(obj)
