@@ -41,18 +41,8 @@ from .optics import (
     extract_xi_clusters,
     filter_small_clusters,
 )
-from .pipeline import (
-    BaseModelArtifact,
-    PipelineConfig,
-    RunReport,
-    infer,
-    kmeans_baseline,
-    run_ddce,
-    sweep_alpha,
-    sweep_outlier_ratio,
-    sweep_training_size,
-    train_base_models,
-)
+from .experiments import kmeans_baseline, sweep_alpha, sweep_outlier_ratio, sweep_training_size
+from .pipeline import BaseModelArtifact, PipelineConfig, RunReport, infer, run_ddce, train_base_models
 from .search import SearchResult, SearchSpace, random_search, sample_params
 
 __all__ = [

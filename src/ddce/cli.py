@@ -13,13 +13,13 @@ import argparse
 import json
 import os
 import sys
-import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__, corpus, embed, metrics, optics, pipeline
+from . import __version__, corpus, embed, experiments, metrics, optics, pipeline
 from .errors import DdceError
-from .util import atomic_write_text, substream
+from .util import atomic_write_text, parse_json, read_text, substream
 
 
 def _json_dumps(obj) -> str:
@@ -27,15 +27,9 @@ def _json_dumps(obj) -> str:
 
 
 def _load_config(args) -> pipeline.PipelineConfig:
-    obj = {}
-    if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DdceError(f"{args.config}: invalid JSON: {exc}") from exc
+    obj = parse_json(read_text(args.config), args.config) if args.config else {}
     cfg = pipeline.config_from_dict(obj)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg.master_seed = args.seed
     return cfg
 
@@ -125,14 +119,13 @@ def _cmd_ensemble(args) -> int:
     d_l = _load_labeled(args, cfg)
     d_ul = corpus.load_unlabeled_jsonl(args.unlabeled)
     source = corpus.load_unlabeled_jsonl(args.outlier_source)
-    t0 = time.perf_counter()
     report = pipeline.run_ddce(d_l, d_ul, source, cfg, embeddings=_maybe_embeddings(args))
     partition_path = os.path.join(args.out, "partition.jsonl")
     optics.save_partition_jsonl(report.consensus_partition, partition_path)
     payload = pipeline.report_to_dict(report, cfg)
     payload["partition_path"] = "partition.jsonl"
     atomic_write_text(os.path.join(args.out, "report.json"), _json_dumps(payload))
-    print(f"ensemble finished in {time.perf_counter() - t0:.2f}s", file=sys.stderr)
+    print(f"ensemble finished in {report.elapsed_seconds:.2f}s", file=sys.stderr)
     if report.consensus_test_scores is not None:
         print(report.consensus_test_scores.to_json())
     else:
@@ -145,7 +138,7 @@ def _cmd_baseline(args) -> int:
     _write_manifest(args, cfg.master_seed, [args.labeled, args.unlabeled, args.embeddings])
     d_l = _load_labeled(args, cfg)
     d_ul = corpus.load_unlabeled_jsonl(args.unlabeled)
-    part = pipeline.kmeans_baseline(d_l, d_ul, cfg, embeddings=_maybe_embeddings(args))
+    part = experiments.kmeans_baseline(d_l, d_ul, cfg, embeddings=_maybe_embeddings(args))
     optics.save_partition_jsonl(part, os.path.join(args.out, "partition.jsonl"))
     if pipeline.has_ground_truth(d_ul):
         scores = metrics.score(d_ul, part)
@@ -163,55 +156,60 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _sweep_common(args):
+class _Sweep(NamedTuple):  # one sweep subcommand
+    run: Callable
+    values_flag: str
+    element: type
+    reps: int | None  # default --reps; None when the sweep takes no reps
+    csv_name: str
+    help: str
+    values_help: str
+
+
+SWEEPS = {
+    "sweep-alpha": _Sweep(
+        experiments.sweep_alpha, "--alphas", float, 3, "alpha_sweep.csv",
+        "score vs split ratio for a single base model", "comma-separated ratios"),
+    "sweep-outliers": _Sweep(
+        experiments.sweep_outlier_ratio, "--ratios", float, None, "outlier_sweep.csv",
+        "ensemble vs base scores across outlier ratios injected into the --unlabeled set",
+        "comma-separated ratios"),
+    "sweep-size": _Sweep(
+        experiments.sweep_training_size, "--o-values", int, 5, "size_sweep.csv",
+        "relative ensemble improvement vs labeled intent count", "comma-separated intent counts"),
+}
+
+
+def _value_list(element: type):
+    """argparse type of a comma-separated ``element`` list; a bad value is a usage error."""
+    def parse(text: str) -> list:
+        return [element(v) for v in text.split(",")]
+    parse.__name__ = f"comma-separated {element.__name__}"
+    return parse
+
+
+def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     _write_manifest(args, cfg.master_seed, [args.labeled, args.unlabeled, args.outlier_source])
     d_l = _load_labeled(args, cfg)
     d_ul = corpus.load_unlabeled_jsonl(args.unlabeled)
     source = corpus.load_unlabeled_jsonl(args.outlier_source)
-    return cfg, d_l, d_ul, source
-
-
-def _cmd_sweep_alpha(args) -> int:
-    cfg, d_l, d_ul, source = _sweep_common(args)
-    alphas = [float(v) for v in args.alphas.split(",")]
-    _, csv_text = pipeline.sweep_alpha(d_l, d_ul, source, cfg, alphas, args.reps)
-    pipeline.save_csv(csv_text, os.path.join(args.out, "alpha_sweep.csv"))
+    reps = () if args.sweep.reps is None else (args.reps,)
+    _, csv_text = args.sweep.run(d_l, d_ul, source, cfg, args.values, *reps)
+    atomic_write_text(os.path.join(args.out, args.sweep.csv_name), csv_text)
     print(csv_text, end="")
     return 0
 
 
-def _cmd_sweep_outliers(args) -> int:
-    cfg, d_l, d_ul, source = _sweep_common(args)
-    ratios = [float(v) for v in args.ratios.split(",")]
-    _, csv_text = pipeline.sweep_outlier_ratio(d_l, d_ul, source, cfg, ratios)
-    pipeline.save_csv(csv_text, os.path.join(args.out, "outlier_sweep.csv"))
-    print(csv_text, end="")
-    return 0
-
-
-def _cmd_sweep_size(args) -> int:
-    cfg, d_l, d_ul, source = _sweep_common(args)
-    o_values = [int(v) for v in args.o_values.split(",")]
-    _, csv_text = pipeline.sweep_training_size(d_l, d_ul, source, cfg, o_values, args.reps)
-    pipeline.save_csv(csv_text, os.path.join(args.out, "size_sweep.csv"))
-    print(csv_text, end="")
-    return 0
-
-
-def _add_common(sub, *, config=True, seed=True, out=True, embeddings=False, labeled_cap=False):
-    if config:
-        sub.add_argument("--config", help="JSON config mirroring the pipeline settings")
-    if seed:
-        sub.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
-    if out:
-        sub.add_argument("--out", required=True, help="output directory")
+def _add_common(sub, *, embeddings=False):
+    sub.add_argument("--config", help="JSON config mirroring the pipeline settings")
+    sub.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
+    sub.add_argument("--out", required=True, help="output directory")
     if embeddings:
         sub.add_argument("--embeddings", help="EMB1 file of precomputed vectors "
                                               "(bypasses the built-in encoder)")
-    if labeled_cap:
-        sub.add_argument("--max-per-intent", type=int, default=50,
-                         help="cap rows per intent at load time; 0 disables (default 50)")
+    sub.add_argument("--max-per-intent", type=int, default=50,
+                     help="cap rows per intent at load time; 0 disables (default 50)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("train", help="train the K base clustering models")
     p.add_argument("--labeled", required=True)
     p.add_argument("--outlier-source", required=True)
-    _add_common(p, embeddings=True, labeled_cap=True)
+    _add_common(p, embeddings=True)
     p.set_defaults(func=_cmd_train)
 
     p = subs.add_parser("cluster", help="single-model density clustering of an EMB1 file")
@@ -260,13 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labeled", required=True)
     p.add_argument("--unlabeled", required=True)
     p.add_argument("--outlier-source", required=True)
-    _add_common(p, embeddings=True, labeled_cap=True)
+    _add_common(p, embeddings=True)
     p.set_defaults(func=_cmd_ensemble)
 
     p = subs.add_parser("baseline-kmeans", help="centroid baseline with inflated cluster count")
     p.add_argument("--labeled", required=True)
     p.add_argument("--unlabeled", required=True)
-    _add_common(p, embeddings=True, labeled_cap=True)
+    _add_common(p, embeddings=True)
     p.set_defaults(func=_cmd_baseline)
 
     p = subs.add_parser("evaluate", help="score a partition against ground truth")
@@ -274,31 +272,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.set_defaults(func=_cmd_evaluate)
 
-    p = subs.add_parser("sweep-alpha", help="score vs split ratio for a single base model")
-    p.add_argument("--labeled", required=True)
-    p.add_argument("--unlabeled", required=True)
-    p.add_argument("--outlier-source", required=True)
-    p.add_argument("--alphas", required=True, help="comma-separated ratios")
-    p.add_argument("--reps", type=int, default=3)
-    _add_common(p, labeled_cap=True)
-    p.set_defaults(func=_cmd_sweep_alpha)
-
-    p = subs.add_parser("sweep-outliers", help="ensemble vs base scores across outlier ratios")
-    p.add_argument("--labeled", required=True)
-    p.add_argument("--unlabeled", required=True, help="test set without injected outliers")
-    p.add_argument("--outlier-source", required=True)
-    p.add_argument("--ratios", required=True, help="comma-separated ratios")
-    _add_common(p, labeled_cap=True)
-    p.set_defaults(func=_cmd_sweep_outliers)
-
-    p = subs.add_parser("sweep-size", help="relative ensemble improvement vs labeled intent count")
-    p.add_argument("--labeled", required=True)
-    p.add_argument("--unlabeled", required=True)
-    p.add_argument("--outlier-source", required=True)
-    p.add_argument("--o-values", required=True, help="comma-separated intent counts")
-    p.add_argument("--reps", type=int, default=5)
-    _add_common(p, labeled_cap=True)
-    p.set_defaults(func=_cmd_sweep_size)
+    for name, sweep in SWEEPS.items():
+        p = subs.add_parser(name, help=sweep.help)
+        p.add_argument("--labeled", required=True)
+        p.add_argument("--unlabeled", required=True)
+        p.add_argument("--outlier-source", required=True)
+        p.add_argument(sweep.values_flag, dest="values", required=True,
+                       type=_value_list(sweep.element), help=sweep.values_help)
+        if sweep.reps is not None:
+            p.add_argument("--reps", type=int, default=sweep.reps)
+        _add_common(p)
+        p.set_defaults(func=_cmd_sweep, sweep=sweep)
 
     return parser
 

@@ -5,6 +5,7 @@ splitting, outlier injection, synthetic data generation, and JSONL I/O.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from .errors import (
     StratificationError,
     UnsplittableDatasetError,
 )
-from .util import atomic_write_text, round_half_up
+from .util import atomic_write_text, read_jsonl, round_half_up
 
 
 @dataclass(frozen=True)
@@ -160,13 +161,13 @@ def inner_split(
     return LabeledDataset(rows=train_rows), LabeledDataset(rows=val_rows)
 
 
-def inject_outliers(d, source: UnlabeledDataset, ratio: float, rng: np.random.Generator):
-    """Append round(ratio * |d|) rows sampled without replacement from
-    ``source``, flagged as injected outliers with the intent cleared.
-    Returns a dataset of the same type as ``d``; original rows untouched.
-    """
-    if ratio < 0:
-        raise DdceError(f"outlier ratio must be nonnegative, got {ratio}")
+def append_outliers(d, source: UnlabeledDataset, ratio: float, pick):
+    """Append round(ratio * |d|) rows of ``source``, those at the indices
+    ``pick(n)`` returns in that order, flagged as injected outliers with the
+    intent cleared. Returns a dataset of the same type as ``d``; original
+    rows untouched."""
+    if not 0.0 <= ratio < math.inf:
+        raise DdceError(f"outlier ratio must be finite and nonnegative, got {ratio}")
     n_inject = round_half_up(ratio * len(d.rows))
     if n_inject == 0:
         return d
@@ -174,15 +175,21 @@ def inject_outliers(d, source: UnlabeledDataset, ratio: float, rng: np.random.Ge
         raise InsufficientOutlierSourceError(
             f"outlier source has {source.M} rows, need {n_inject}"
         )
-    picked = sorted(rng.choice(source.M, size=n_inject, replace=False))
     existing = {r.id for r in d.rows}
     injected = []
-    for i in picked:
+    for i in pick(n_inject):
         row = source.rows[i]
         if row.id in existing:
             raise DdceError(f"outlier source id {row.id!r} collides with target dataset")
         injected.append(replace(row, intent=None, is_injected_outlier=True))
     return type(d)(rows=list(d.rows) + injected)
+
+
+def inject_outliers(d, source: UnlabeledDataset, ratio: float, rng: np.random.Generator):
+    """:func:`append_outliers` with the rows sampled without replacement."""
+    return append_outliers(
+        d, source, ratio, lambda n: sorted(rng.choice(source.M, size=n, replace=False))
+    )
 
 
 def generate_synthetic(
@@ -267,12 +274,18 @@ def _row_to_obj(row: Utterance) -> dict:
 def _obj_to_row(obj: dict, lineno: int) -> Utterance:
     if not isinstance(obj, dict):
         raise DdceError(f"line {lineno}: expected a JSON object, got {type(obj).__name__}")
+    intent = obj.get("intent")
+    if intent is not None and not isinstance(intent, str):
+        raise DdceError(f"line {lineno}: intent must be a string or null, got {intent!r}")
+    outlier = obj.get("outlier", False)
+    if not isinstance(outlier, bool):
+        raise DdceError(f"line {lineno}: outlier must be true or false, got {outlier!r}")
     try:
         return Utterance(
             id=str(obj["id"]),
             text=str(obj["text"]),
-            intent=obj.get("intent"),
-            is_injected_outlier=bool(obj.get("outlier", False)),
+            intent=intent,
+            is_injected_outlier=outlier,
         )
     except KeyError as exc:
         raise DdceError(f"line {lineno}: missing key {exc}") from exc
@@ -285,18 +298,7 @@ def save_jsonl(dataset, path: str) -> None:
 
 
 def _read_rows(path: str) -> list[Utterance]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DdceError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            rows.append(_obj_to_row(obj, lineno))
-    return rows
+    return [_obj_to_row(obj, lineno) for lineno, obj in read_jsonl(path)]
 
 
 def load_labeled_jsonl(

@@ -258,15 +258,18 @@ def load_precomputed(path: str) -> EmbeddingMatrix:
         offset += 2
         if offset + id_len > len(blob):
             raise EmbeddingTruncatedError(f"{path}: id table truncated")
-        ids.append(blob[offset : offset + id_len].decode("utf-8"))
+        try:
+            ids.append(blob[offset : offset + id_len].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise EmbeddingFormatError(f"{path}: row {len(ids)} id is not UTF-8: {exc}") from exc
         offset += id_len
     need = n * d * 4
     if len(blob) - offset < need:
         raise EmbeddingTruncatedError(
             f"{path}: payload has {len(blob) - offset} bytes, need {need}"
         )
-    data = np.frombuffer(blob, dtype="<f4", count=n * d, offset=offset)
-    data = data.reshape(n, d).astype(np.float64)
+    data = np.frombuffer(blob, dtype="<f4", count=n * d, offset=offset).reshape(n, d)
+    # Checked before the cast, which warns on a signaling NaN.
     if data.size and not np.all(np.isfinite(data)):
         raise EmbeddingValueError(f"{path}: embedding payload contains non-finite values")
-    return EmbeddingMatrix(data=data, row_ids=ids)
+    return EmbeddingMatrix(data=data.astype(np.float64), row_ids=ids)

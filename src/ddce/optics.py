@@ -16,7 +16,7 @@ import numpy as np
 
 from .embed import EmbeddingMatrix
 from .errors import DdceError
-from .util import atomic_write_text
+from .util import atomic_write_text, read_jsonl
 
 METRICS = ("cosine", "euclidean")
 
@@ -282,9 +282,7 @@ def filter_small_clusters(p: Partition, s_min: int) -> Partition:
         raise DdceError(f"s_min must be >= 1, got {s_min}")
     labels = np.asarray(p.labels).copy()
     values, counts = np.unique(labels[labels != -1], return_counts=True)
-    small = {int(v) for v, c in zip(values, counts) if c < s_min}
-    if small:
-        labels = np.array([-1 if int(v) in small else int(v) for v in labels], dtype=int)
+    labels[np.isin(labels, values[counts < s_min])] = -1
     return Partition(labels=canonicalize_labels(labels), ids=list(p.ids))
 
 
@@ -323,15 +321,13 @@ def save_partition_jsonl(p: Partition, path: str) -> None:
 def load_partition_jsonl(path: str) -> Partition:
     ids = []
     labels = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                ids.append(str(obj["id"]))
-                labels.append(int(obj["cluster"]))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise DdceError(f"{path}:{lineno}: bad partition row: {exc}") from exc
+    for lineno, obj in read_jsonl(path):
+        if not isinstance(obj, dict) or not {"id", "cluster"} <= obj.keys():
+            raise DdceError(f"{path}:{lineno}: expected an object with id and cluster")
+        label = obj["cluster"]
+        # A label must fit the int64 array below; -1 is the only negative one.
+        if isinstance(label, bool) or not isinstance(label, int) or not -1 <= label < 2**63:
+            raise DdceError(f"{path}:{lineno}: cluster must be an integer >= -1, got {label!r}")
+        ids.append(str(obj["id"]))
+        labels.append(label)
     return Partition(labels=np.array(labels, dtype=int), ids=ids)

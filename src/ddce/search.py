@@ -3,8 +3,6 @@ with injected outliers."""
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,7 +10,7 @@ import numpy as np
 from . import metrics, optics
 from .embed import EmbeddingMatrix
 from .errors import AlignmentError, DdceError, EmptySearchError
-from .util import atomic_write_text, substream
+from .util import atomic_write_text, csv_text, substream
 
 
 @dataclass(frozen=True)
@@ -102,15 +100,10 @@ def random_search(
 
 
 def trials_to_csv(result: SearchResult) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["trial_idx", "max_eps", "xi", "min_samples", "score_c", "score_ari", "score"])
-    for t in result.trials:
-        writer.writerow([
-            t.index, t.params.max_eps, t.params.xi, t.params.min_samples,
-            t.scores.score_c, t.scores.score_ari, t.scores.score,
-        ])
-    return buf.getvalue()
+    header = ["trial_idx", "max_eps", "xi", "min_samples", "score_c", "score_ari", "score"]
+    return csv_text(header, ([t.index, t.params.max_eps, t.params.xi, t.params.min_samples,
+                              t.scores.score_c, t.scores.score_ari, t.scores.score]
+                             for t in result.trials))
 
 
 def save_trial_log(result: SearchResult, path: str) -> None:

@@ -1,12 +1,18 @@
-"""Small shared helpers: stable hashing, seeded stream derivation, atomic writes."""
+"""Small shared helpers: stable hashing, seeded stream derivation, atomic
+writes, JSON/JSONL reading, CSV text."""
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 import os
 import tempfile
 
 import numpy as np
+
+from .errors import DdceError
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -69,3 +75,36 @@ def atomic_write_bytes(path: str, payload: bytes) -> None:
 
 def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def read_text(path: str) -> str:
+    """The contents of a UTF-8 text file, newlines translated to LF."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DdceError(f"{path}: not valid UTF-8: {exc}") from exc
+
+
+def parse_json(text: str, where: str):
+    """``json.loads``, raising DdceError naming ``where`` on malformed or
+    too deeply nested input."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise DdceError(f"{where}: invalid JSON: {exc}") from exc
+
+
+def read_jsonl(path: str) -> list[tuple[int, object]]:
+    """(line number, parsed value) for each non-blank line of a JSONL file."""
+    lines = enumerate(read_text(path).split("\n"), start=1)
+    return [(n, parse_json(line.strip(), f"{path}:{n}")) for n, line in lines if line.strip()]
+
+
+def csv_text(header: list[str], rows) -> str:
+    """CSV text with LF line endings: the header line, then one line per row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()

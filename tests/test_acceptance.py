@@ -12,9 +12,10 @@ from ddce.cli import main as cli_main
 from ddce.consensus import PartitionSet, bok, bokv, bokv_with_details, chm, cspa, k_target, mcla, nmi_sum
 from ddce.corpus import generate_synthetic, inner_split, save_jsonl
 from ddce.embed import EmbeddingMatrix, TrainConfig, loss_and_grads, train_encoder
+from ddce.experiments import sweep_outlier_ratio
 from ddce.metrics import ari_labels, nmi, nmi_labels
 from ddce.optics import OpticsParams, Partition, cluster, compute_ordering
-from ddce.pipeline import PipelineConfig, run_ddce, sweep_outlier_ratio
+from ddce.pipeline import PipelineConfig, run_ddce
 from ddce.search import SearchSpace, sample_params
 from ddce.util import substream
 

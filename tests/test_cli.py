@@ -1,5 +1,7 @@
 import json
 import os
+import struct
+import warnings
 
 import pytest
 
@@ -181,11 +183,57 @@ class TestMalformedInputs:
         code = run("evaluate", "--truth", truth, "--pred", pred)
         self._assert_one_error(code, capsys)
 
+    def test_labeled_intent_not_a_string(self, workspace, tmp_path, capsys):
+        labeled = str(tmp_path / "labeled_bad.jsonl")
+        with open(labeled, "w") as fh:
+            fh.write(open(workspace["labeled"]).read())
+            fh.write(json.dumps({"id": "bad", "text": "t", "intent": 5}) + "\n")
+        code = run("ensemble", "--labeled", labeled,
+                   "--unlabeled", workspace["unlabeled"],
+                   "--outlier-source", workspace["source"],
+                   "--config", workspace["config"], "--out", str(tmp_path / "x"))
+        self._assert_one_error(code, capsys)
+
+    @pytest.mark.parametrize("truth_row, pred_row", [
+        ({"id": "b", "text": "t", "intent": None, "outlier": "no"}, {"id": "b", "cluster": 0}),
+        ({"id": "b", "text": "t", "intent": "x"}, [1]),
+        ({"id": "b", "text": "t", "intent": "x"}, {"id": "b", "cluster": None}),
+        ({"id": "b", "text": "t", "intent": "x"}, {"id": "b", "cluster": 1.5}),
+        ({"id": "b", "text": "t", "intent": "x"}, {"id": "b", "cluster": True}),
+    ])
+    def test_evaluate_bad_row_type(self, tmp_path, capsys, truth_row, pred_row):
+        """The second row of the truth or partition file has a bad type."""
+        truth = str(tmp_path / "truth.jsonl")
+        pred = str(tmp_path / "pred.jsonl")
+        for path, first, second in (
+            (truth, {"id": "a", "text": "s", "intent": "x"}, truth_row),
+            (pred, {"id": "a", "cluster": 0}, pred_row),
+        ):
+            with open(path, "w") as fh:
+                fh.write(json.dumps(first) + "\n" + json.dumps(second) + "\n")
+        code = run("evaluate", "--truth", truth, "--pred", pred)
+        self._assert_one_error(code, capsys)
+
+    @pytest.mark.parametrize("row_id, payload", [
+        (b"\xff", struct.pack("<2f", 1, 0)),  # id not UTF-8
+        (b"a", struct.pack("<2I", 0x7F800001, 0)),  # signaling NaN
+    ])
+    def test_bad_emb1(self, tmp_path, capsys, row_id, payload):
+        path = str(tmp_path / "bad.emb1")
+        with open(path, "wb") as fh:
+            fh.write(b"EMB1" + struct.pack("<IIH", 1, 2, 1) + row_id + payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the command line would print a warning to stderr
+            code = run("cluster", "--embeddings", path, "--max-eps", "0.4", "--xi", "0.05",
+                       "--min-samples", "2", "--out", str(tmp_path / "x"))
+        assert path in self._assert_one_error(code, capsys)
+
     @staticmethod
     def _assert_one_error(code, capsys):
         err = capsys.readouterr().err.splitlines()
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error:"), err
+        return err[0]
 
 
 class TestTrainAndBaseline:
@@ -240,3 +288,32 @@ class TestSweepCommands:
         lines = open(os.path.join(workspace["out"], "size_sweep.csv")).read().splitlines()
         assert lines[0] == "o,mean_rel_improvement,median_rel_improvement,wilcoxon_p"
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("sweep-alpha", "--alphas", "abc"),
+        ("sweep-outliers", "--ratios", ""),
+        ("sweep-size", "--o-values", "x"),
+    ])
+    def test_unparsable_values_are_usage_errors(self, workspace, capsys, command, flag, value):
+        code = run(command, "--labeled", workspace["labeled"],
+                   "--unlabeled", workspace["unlabeled"],
+                   "--outlier-source", workspace["source"],
+                   flag, value, "--out", workspace["out"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"argument {flag}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("sweep-alpha", "--alphas", "0.5"),
+        ("sweep-size", "--o-values", "4"),
+    ])
+    def test_zero_reps_is_data_error(self, workspace, capsys, command, flag, value):
+        code = run(command, "--labeled", workspace["labeled"],
+                   "--unlabeled", workspace["unlabeled"],
+                   "--outlier-source", workspace["source"],
+                   flag, value, "--reps", "0",
+                   "--config", workspace["config"], "--out", workspace["out"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert not [f for f in os.listdir(workspace["out"]) if f.endswith(".csv")]

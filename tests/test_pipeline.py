@@ -7,24 +7,26 @@ import scipy.stats
 from ddce.corpus import UnlabeledDataset, Utterance, generate_synthetic
 from ddce.embed import TrainConfig
 from ddce.errors import ConfigError, DdceError
+from ddce.experiments import (
+    baseline_cluster_count,
+    kmeans_baseline,
+    kmeans_labels,
+    sweep_alpha,
+    sweep_outlier_ratio,
+    sweep_training_size,
+    wilcoxon_signed_rank,
+)
 from ddce.metrics import ari_labels
 from ddce.pipeline import (
     PipelineConfig,
     artifact_from_dict,
     artifact_to_dict,
-    baseline_cluster_count,
     config_from_dict,
     config_to_dict,
     infer,
-    kmeans_baseline,
-    kmeans_labels,
     report_to_dict,
     run_ddce,
-    sweep_alpha,
-    sweep_outlier_ratio,
-    sweep_training_size,
     train_base_models,
-    wilcoxon_signed_rank,
 )
 from ddce.search import SearchSpace
 
@@ -266,6 +268,27 @@ class TestSweeps:
         d_l, d_ul, source = make_benchmark(o=4)
         with pytest.raises(DdceError):
             sweep_training_size(d_l, d_ul, source, fast_cfg(), [99], reps=1)
+
+    @pytest.mark.parametrize("sweep, values", [(sweep_alpha, [0.5]), (sweep_training_size, [2])])
+    def test_reps_below_one_rejected(self, sweep, values):
+        d_l, d_ul, source = make_benchmark(o=4)
+        with pytest.raises(DdceError, match="reps must be >= 1"):
+            sweep(d_l, d_ul, source, fast_cfg(), values, 0)
+
+    @pytest.mark.parametrize("call", [
+        lambda d_l, d_ul, src: sweep_alpha(d_l, d_ul, src, fast_cfg(), [0.5], 1),
+        lambda d_l, d_ul, src: sweep_outlier_ratio(d_l, d_ul, src, fast_cfg(), [0.5]),
+        lambda d_l, d_ul, src: sweep_training_size(d_l, d_ul, src, fast_cfg(), [2], 1),
+    ], ids=["alpha", "outliers", "size"])
+    def test_missing_ground_truth_raises_before_any_run(self, call, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("run_ddce called on data without ground truth")
+
+        monkeypatch.setattr("ddce.experiments.run_ddce", no_run)
+        d_l, d_ul, source = make_benchmark(o=4, test_outlier_ratio=0.0)
+        hidden = UnlabeledDataset(rows=[Utterance(id=r.id, text=r.text) for r in d_ul.rows])
+        with pytest.raises(DdceError, match="ground truth"):
+            call(d_l, hidden, source)
 
 
 class TestConfigSerialization:
