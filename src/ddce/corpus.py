@@ -271,24 +271,21 @@ def _row_to_obj(row: Utterance) -> dict:
     return obj
 
 
-def _obj_to_row(obj: dict, lineno: int) -> Utterance:
+def _obj_to_row(obj: dict, where: str) -> Utterance:
     if not isinstance(obj, dict):
-        raise DdceError(f"line {lineno}: expected a JSON object, got {type(obj).__name__}")
+        raise DdceError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    for key in ("id", "text"):
+        if key not in obj:
+            raise DdceError(f"{where}: missing key {key!r}")
+        if not isinstance(obj[key], str):
+            raise DdceError(f"{where}: {key} must be a string, got {obj[key]!r}")
     intent = obj.get("intent")
     if intent is not None and not isinstance(intent, str):
-        raise DdceError(f"line {lineno}: intent must be a string or null, got {intent!r}")
+        raise DdceError(f"{where}: intent must be a string or null, got {intent!r}")
     outlier = obj.get("outlier", False)
     if not isinstance(outlier, bool):
-        raise DdceError(f"line {lineno}: outlier must be true or false, got {outlier!r}")
-    try:
-        return Utterance(
-            id=str(obj["id"]),
-            text=str(obj["text"]),
-            intent=intent,
-            is_injected_outlier=outlier,
-        )
-    except KeyError as exc:
-        raise DdceError(f"line {lineno}: missing key {exc}") from exc
+        raise DdceError(f"{where}: outlier must be true or false, got {outlier!r}")
+    return Utterance(id=obj["id"], text=obj["text"], intent=intent, is_injected_outlier=outlier)
 
 
 def save_jsonl(dataset, path: str) -> None:
@@ -298,7 +295,7 @@ def save_jsonl(dataset, path: str) -> None:
 
 
 def _read_rows(path: str) -> list[Utterance]:
-    return [_obj_to_row(obj, lineno) for lineno, obj in read_jsonl(path)]
+    return [_obj_to_row(obj, f"{path}:{lineno}") for lineno, obj in read_jsonl(path)]
 
 
 def load_labeled_jsonl(

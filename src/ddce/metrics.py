@@ -177,7 +177,13 @@ def ground_truth_labels(d_truth, pred_ids: list[str]) -> tuple[np.ndarray, list[
 
 def score(d_truth, pred: Partition) -> Scores:
     """Score a predicted partition against a dataset carrying ground truth."""
-    truth_labels, flags = ground_truth_labels(d_truth, pred.ids)
-    score_c = nonoutlier_recall(flags, pred)
+    return score_against(*ground_truth_labels(d_truth, pred.ids), pred)
+
+
+def score_against(truth_labels: np.ndarray, truth_outlier_flags, pred: Partition) -> Scores:
+    """:func:`score` on ground truth already built by
+    :func:`ground_truth_labels` for ``pred.ids``, so a caller scoring many
+    partitions of the same rows builds it once."""
+    score_c = nonoutlier_recall(truth_outlier_flags, pred)
     score_ari = ari_labels(truth_labels, np.asarray(pred.labels))
     return Scores.from_parts(score_c, score_ari)

@@ -69,15 +69,13 @@ class Partition:
 
 def canonicalize_labels(labels: np.ndarray) -> np.ndarray:
     """Renumber non-outlier labels to 0..C-1 in order of first appearance."""
-    mapping: dict[int, int] = {}
+    labels = np.asarray(labels)
     out = np.full(len(labels), -1, dtype=int)
-    for i, lab in enumerate(labels):
-        lab = int(lab)
-        if lab == -1:
-            continue
-        if lab not in mapping:
-            mapping[lab] = len(mapping)
-        out[i] = mapping[lab]
+    kept = labels != -1
+    _, first, inverse = np.unique(labels[kept], return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=int)
+    rank[np.argsort(first)] = np.arange(len(first))
+    out[kept] = rank[inverse]
     return out
 
 
@@ -127,32 +125,52 @@ def _ordering_from_distances(
 
     reach = np.full(n, np.inf)
     pred = np.full(n, -1, dtype=int)
-    processed = np.zeros(n, dtype=bool)
-    order = np.empty(n, dtype=int)
-    pos = 0
+    if not np.isfinite(core).any():
+        # No point can reach another: each one starts its own expansion.
+        return ReachabilityOrdering(
+            order=np.arange(n), reachability=reach, core_distance=core,
+            predecessor=pred, ids=list(ids),
+        )
+    inf = np.inf
+    core_list = core.tolist()
+    max_eps = params.max_eps
+    # reach restricted to unprocessed points (inf once processed), and the
+    # number of its finite entries: the points waiting to be picked next.
+    open_reach = np.full(n, inf)
+    n_open = 0
+    unprocessed = np.ones(n, dtype=bool)
+    order = []
     for start in range(n):
-        if processed[start]:
+        if not unprocessed[start]:
             continue
         current = start
-        while current != -1:
-            processed[current] = True
-            order[pos] = current
-            pos += 1
-            if np.isfinite(core[current]):
+        while True:
+            unprocessed[current] = False
+            order.append(current)
+            c = core_list[current]
+            if c != inf:
                 drow = D[current]
-                mask = (~processed) & (drow <= params.max_eps)
-                if mask.any():
-                    idx = np.flatnonzero(mask)
-                    cand = np.maximum(core[current], drow[idx])
-                    better = cand < reach[idx]
+                idx = (unprocessed & (drow <= max_eps)).nonzero()[0]
+                if idx.size:
+                    cand = np.maximum(c, drow[idx])
+                    old = open_reach[idx]
+                    better = cand < old
+                    # cand is finite, so every unreached neighbor improves.
+                    n_open += int(np.count_nonzero(old == inf))
                     upd = idx[better]
-                    reach[upd] = cand[better]
+                    val = cand[better]
+                    reach[upd] = val
+                    open_reach[upd] = val
                     pred[upd] = current
-            masked = np.where(processed, np.inf, reach)
-            nxt = int(np.argmin(masked))
-            current = nxt if np.isfinite(masked[nxt]) else -1
+            if n_open == 0:
+                break
+            # Smallest tentative reachability, ties to the smallest index.
+            current = int(open_reach.argmin())
+            open_reach[current] = inf
+            n_open -= 1
     return ReachabilityOrdering(
-        order=order, reachability=reach, core_distance=core, predecessor=pred, ids=list(ids)
+        order=np.array(order), reachability=reach, core_distance=core, predecessor=pred,
+        ids=list(ids),
     )
 
 
@@ -324,10 +342,12 @@ def load_partition_jsonl(path: str) -> Partition:
     for lineno, obj in read_jsonl(path):
         if not isinstance(obj, dict) or not {"id", "cluster"} <= obj.keys():
             raise DdceError(f"{path}:{lineno}: expected an object with id and cluster")
+        if not isinstance(obj["id"], str):
+            raise DdceError(f"{path}:{lineno}: id must be a string, got {obj['id']!r}")
         label = obj["cluster"]
         # A label must fit the int64 array below; -1 is the only negative one.
         if isinstance(label, bool) or not isinstance(label, int) or not -1 <= label < 2**63:
             raise DdceError(f"{path}:{lineno}: cluster must be an integer >= -1, got {label!r}")
-        ids.append(str(obj["id"]))
+        ids.append(obj["id"])
         labels.append(label)
     return Partition(labels=np.array(labels, dtype=int), ids=ids)

@@ -76,14 +76,16 @@ def random_search(
     keep the highest-scoring parameters (earliest trial on ties).
 
     Each trial draws from its own stream derived from (seed, trial index),
-    so results do not depend on evaluation order. The distance matrix is
-    shared across trials since the embeddings never change.
+    so results do not depend on evaluation order. The distance matrix and
+    the ground-truth labels are shared across trials since the embeddings
+    and the validation rows never change.
     """
     if space.n_trials < 1:
         raise EmptySearchError("random search needs at least 1 trial")
     truth_ids = [r.id for r in truth.rows]
     if e_hs.row_ids != truth_ids:
         raise AlignmentError("embedding rows are not aligned with the validation rows")
+    truth_labels, flags = metrics.ground_truth_labels(truth, e_hs.row_ids)
     D = optics.pairwise_distances(e_hs.data, metric)
     sorted_d = np.sort(D, axis=1)
     trials = []
@@ -91,7 +93,7 @@ def random_search(
     for t in range(space.n_trials):
         params = sample_params(space, substream(seed, "trial", t))
         part = optics.cluster_with_distances(D, e_hs.row_ids, params, s_min, sorted_d=sorted_d)
-        scores = metrics.score(truth, part)
+        scores = metrics.score_against(truth_labels, flags, part)
         trial = Trial(index=t, params=params, scores=scores)
         trials.append(trial)
         if best is None or trial.scores.score > best.scores.score:

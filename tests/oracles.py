@@ -128,6 +128,20 @@ def ref_optics(x, max_eps, min_samples, metric="euclidean"):
 
 
 # ---------------------------------------------------------------------------
+# First-appearance relabelling
+
+def ref_canonicalize_labels(labels) -> list[int]:
+    """Per-element loop: a label other than -1 gets the next free number
+    the first time it appears; -1 stays -1."""
+    mapping: dict[int, int] = {}
+    out = []
+    for lab in labels:
+        lab = int(lab)
+        out.append(-1 if lab == -1 else mapping.setdefault(lab, len(mapping)))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Exhaustive enumeration helpers
 
 def partitions_into_k(n: int, k: int):

@@ -214,6 +214,26 @@ class TestMalformedInputs:
         code = run("evaluate", "--truth", truth, "--pred", pred)
         self._assert_one_error(code, capsys)
 
+    @pytest.mark.parametrize("truth_row, pred_row, bad_file", [
+        ({"id": None, "text": {"k": 1}, "intent": "x"}, {"id": "None", "cluster": 0}, "truth"),
+        ({"id": 5, "text": "t", "intent": "x"}, {"id": "5", "cluster": 0}, "truth"),
+        ({"id": "b", "text": ["t"], "intent": "x"}, {"id": "b", "cluster": 0}, "truth"),
+        ({"id": "5", "text": "t", "intent": "x"}, {"id": 5, "cluster": 0}, "pred"),
+    ])
+    def test_evaluate_id_and_text_must_be_strings(self, tmp_path, capsys,
+                                                   truth_row, pred_row, bad_file):
+        """A non-string id or text on line 2 is rejected, naming the file
+        and line; read through str(), id null would match id "None"."""
+        paths = {"truth": str(tmp_path / "truth.jsonl"), "pred": str(tmp_path / "pred.jsonl")}
+        for name, first, second in (
+            ("truth", {"id": "a", "text": "s", "intent": "x"}, truth_row),
+            ("pred", {"id": "a", "cluster": 0}, pred_row),
+        ):
+            with open(paths[name], "w") as fh:
+                fh.write(json.dumps(first) + "\n" + json.dumps(second) + "\n")
+        code = run("evaluate", "--truth", paths["truth"], "--pred", paths["pred"])
+        assert f"{paths[bad_file]}:2:" in self._assert_one_error(code, capsys)
+
     @pytest.mark.parametrize("row_id, payload", [
         (b"\xff", struct.pack("<2f", 1, 0)),  # id not UTF-8
         (b"a", struct.pack("<2I", 0x7F800001, 0)),  # signaling NaN

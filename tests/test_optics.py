@@ -8,6 +8,7 @@ from ddce.optics import (
     OpticsParams,
     Partition,
     ReachabilityOrdering,
+    _ordering_from_distances,
     canonicalize_labels,
     cluster,
     compute_ordering,
@@ -19,7 +20,7 @@ from ddce.optics import (
 )
 
 from conftest import cosine_blobs_with_noise, two_blob_points
-from oracles import ref_optics
+from oracles import ref_canonicalize_labels, ref_optics
 
 
 def emb(data):
@@ -109,6 +110,73 @@ class TestComputeOrdering:
         assert ari_labels(base.labels, restored) == 1.0
 
 
+def assert_distances_ordering_matches(data, params, metric):
+    """_ordering_from_distances on the distance matrix, with and without its
+    row-sorted copy, equals the reference bit for bit; returns the result."""
+    data = np.asarray(data, dtype=float)
+    D = pairwise_distances(data, metric)
+    order, reach, core, pred = ref_optics(data, params.max_eps, params.min_samples, metric)
+    ids = [f"p{i}" for i in range(len(data))]
+    for sorted_d in (None, np.sort(D, axis=1)):
+        got = _ordering_from_distances(D, ids, params, sorted_d=sorted_d)
+        assert got.order.tolist() == order
+        assert got.reachability.tolist() == reach
+        assert got.core_distance.tolist() == core
+        assert got.predecessor.tolist() == pred
+    return got
+
+
+class TestOrderingFromDistances:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_reference_battery(self, seed):
+        rng = np.random.default_rng(5000 + seed)
+        n = int(rng.integers(2, 71))
+        data = rng.normal(size=(n, int(rng.integers(1, 5))))
+        if seed % 4 == 0:
+            data = np.round(data, 1)  # coarse grid: many tied distances
+        if seed % 4 == 1:
+            data[rng.integers(0, n, size=n // 2)] = data[0]  # duplicate points
+        metric = ("euclidean", "cosine")[seed % 2]
+        params = OpticsParams(
+            max_eps=float(rng.uniform(0.05, 3.0)),
+            xi=0.05,
+            min_samples=int(rng.integers(2, 25)),
+        )
+        assert_distances_ordering_matches(data, params, metric)
+
+    @pytest.mark.parametrize("params", [
+        OpticsParams(max_eps=10.0, xi=0.05, min_samples=9),  # more than n
+        OpticsParams(max_eps=1e-3, xi=0.05, min_samples=2),  # no neighbor within max_eps
+    ])
+    def test_no_finite_core_gives_identity_order(self, params):
+        data = np.random.default_rng(1).normal(size=(8, 2))
+        got = assert_distances_ordering_matches(data, params, "euclidean")
+        assert got.order.tolist() == list(range(8))
+        assert np.all(np.isinf(got.core_distance)) and np.all(got.predecessor == -1)
+
+    def test_exactly_one_finite_core(self):
+        data = [[0.0], [1.0], [2.0], [10.0], [20.0], [30.0]]
+        got = assert_distances_ordering_matches(data, OpticsParams(1.5, 0.05, 3), "euclidean")
+        assert np.isfinite(got.core_distance).tolist() == [False, True, False, False, False, False]
+        assert got.order.tolist() == [0, 1, 2, 3, 4, 5]
+        assert got.predecessor.tolist() == [-1, -1, 1, -1, -1, -1]
+
+    def test_frontier_empties_between_expansions(self):
+        # Two tight groups farther apart than max_eps, with isolated points
+        # before, between and after them: the frontier runs dry after each
+        # group and the next expansion starts from the smallest open index.
+        data = [[50.0], [0.0], [0.1], [0.2], [70.0], [5.0], [5.1], [5.2], [90.0]]
+        got = assert_distances_ordering_matches(data, OpticsParams(0.5, 0.05, 2), "euclidean")
+        assert got.order.tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 8]
+        assert got.predecessor.tolist() == [-1, -1, 1, 2, -1, -1, 5, 6, -1]
+
+    def test_tied_duplicates_break_by_smallest_index(self):
+        data = [[1.0, 1.0]] * 3 + [[0.0, 0.0]] * 3 + [[1.0, 1.0]] * 2
+        got = assert_distances_ordering_matches(data, OpticsParams(0.5, 0.05, 2), "euclidean")
+        assert got.order.tolist() == [0, 1, 2, 6, 7, 3, 4, 5]
+        assert np.all(got.core_distance == 0.0)
+
+
 def flat_blob_points(n_per_blob=20, spacing=0.05, gap=10.0):
     """Two evenly spaced 1-D runs: the reachability plot is flat inside each
     blob, so the expected extraction is derivable by hand."""
@@ -190,6 +258,23 @@ class TestFilterSmallClusters:
 
     def test_canonicalize_first_appearance(self):
         assert canonicalize_labels(np.array([7, -1, 7, 3])).tolist() == [0, -1, 0, 1]
+
+    @pytest.mark.parametrize("labels, expected", [
+        ([], []),
+        ([-1, -1, -1], [-1, -1, -1]),
+        ([10**12, -1, 3, 10**12, 0, 3], [0, -1, 1, 0, 2, 1]),
+        ([-2, 5, -2], [0, 1, 0]),  # only -1 marks an outlier
+    ])
+    def test_canonicalize_edge_cases(self, labels, expected):
+        got = canonicalize_labels(np.array(labels, dtype=np.int64))
+        assert got.tolist() == expected and got.dtype == np.dtype(int)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_canonicalize_matches_loop_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        values = np.append(rng.integers(0, 2**40, size=int(rng.integers(1, 12))), -1)
+        labels = rng.choice(values, size=int(rng.integers(0, 200)))
+        assert canonicalize_labels(labels).tolist() == ref_canonicalize_labels(labels)
 
 
 class TestCluster:

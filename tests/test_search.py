@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ddce import metrics, optics
 from ddce.corpus import generate_synthetic, inject_outliers
 from ddce.embed import EmbeddingMatrix
 from ddce.errors import AlignmentError, DdceError, EmptySearchError
@@ -61,6 +62,25 @@ class TestRandomSearch:
         shuffled = EmbeddingMatrix(data=e_hs.data, row_ids=list(reversed(e_hs.row_ids)))
         with pytest.raises(AlignmentError):
             random_search(shuffled, truth, SearchSpace(n_trials=2), 2, seed=0)
+
+    def test_alignment_checked_before_any_trial(self, monkeypatch):
+        truth, e_hs = synthetic_validation(0)
+        shuffled = EmbeddingMatrix(data=e_hs.data, row_ids=list(reversed(e_hs.row_ids)))
+
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(optics, "cluster_with_distances", no_trial)
+        with pytest.raises(AlignmentError):
+            random_search(shuffled, truth, SearchSpace(n_trials=2), 2, seed=0)
+
+    def test_trial_scores_equal_metrics_score(self):
+        truth, e_hs = synthetic_validation(5)
+        result = random_search(e_hs, truth, SearchSpace(n_trials=12), 2, seed=6)
+        D = optics.pairwise_distances(e_hs.data, "cosine")
+        for trial in result.trials:
+            part = optics.cluster_with_distances(D, e_hs.row_ids, trial.params, 2)
+            assert trial.scores == metrics.score(truth, part)
 
     def test_collapsed_space_all_trials_identical(self):
         truth, e_hs = synthetic_validation(1)
