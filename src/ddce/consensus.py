@@ -22,6 +22,8 @@ from .metrics import nmi_labels
 from .optics import Partition, canonicalize_labels
 from .util import round_half_up, substream
 
+HGPA_RESTARTS = 8  # seeded descents per HGPA call; the lowest cut wins
+
 
 @dataclass(frozen=True)
 class PartitionSet:
@@ -65,12 +67,7 @@ class OutlierVote:
 def k_target(ts: PartitionSet) -> int:
     """Consensus cluster count: median of the base partitions' non-outlier
     cluster counts, halves rounded up, never below 1."""
-    counts = sorted(p.cluster_count() for p in ts.partitions)
-    mid = len(counts) // 2
-    if len(counts) % 2 == 1:
-        median = float(counts[mid])
-    else:
-        median = (counts[mid - 1] + counts[mid]) / 2.0
+    median = float(np.median([p.cluster_count() for p in ts.partitions]))
     return max(1, round_half_up(median))
 
 
@@ -79,8 +76,6 @@ def average_linkage_labels(D: np.ndarray, k: int) -> np.ndarray:
     distance matrix, cut at k clusters. Merge ties take the smallest
     (row, column) pair; output labels are numbered by first appearance."""
     n = D.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=int)
     k = max(1, min(k, n))
     gd = np.array(D, dtype=float)
     np.fill_diagonal(gd, np.inf)
@@ -115,20 +110,17 @@ def co_association(ts: PartitionSet) -> np.ndarray:
     return S / ts.k
 
 
-def cspa(ts: PartitionSet, k: int | None = None) -> Partition:
+def cspa(ts: PartitionSet) -> Partition:
     """Cluster-based similarity partitioning: average-linkage consensus on
     the co-association matrix. Samples co-clustered with nobody in any
     model become outliers."""
-    n = ts.n
     S = co_association(ts)
     off = S.copy()
     np.fill_diagonal(off, 0.0)
     isolated = off.sum(axis=1) == 0.0
-    labels = np.full(n, -1, dtype=int)
+    labels = np.full(ts.n, -1, dtype=int)
     rest = np.flatnonzero(~isolated)
-    if len(rest):
-        sub = 1.0 - S[np.ix_(rest, rest)]
-        labels[rest] = average_linkage_labels(sub, k_target(ts) if k is None else k)
+    labels[rest] = average_linkage_labels(1.0 - S[np.ix_(rest, rest)], k_target(ts))
     return Partition(labels=canonicalize_labels(labels), ids=ts.ids)
 
 
@@ -143,13 +135,17 @@ def _hyperedges(ts: PartitionSet) -> list[np.ndarray]:
     return edges
 
 
-def _hgpa_descend(n, k, edges, edges_of, part):
+def _cut(edges: list[np.ndarray], labels: np.ndarray) -> int:
+    """Number of hyperedges whose members fall in more than one part."""
+    return sum(1 for members in edges if len(np.unique(labels[members])) > 1)
+
+
+def _hgpa_descend(n, k, edges, edges_of, part) -> None:
     """Best-improvement single-vertex moves until no move reduces the cut;
-    mutates ``part`` in place and returns the final cut."""
+    mutates ``part`` in place."""
     counts = np.zeros((len(edges), k), dtype=int)
     for e_idx, members in enumerate(edges):
-        for v in members:
-            counts[e_idx, part[v]] += 1
+        counts[e_idx] = np.bincount(part[members], minlength=k)
     sizes = np.bincount(part, minlength=k)
     target = n / k
 
@@ -189,10 +185,9 @@ def _hgpa_descend(n, k, edges, edges_of, part):
         sizes[src] -= 1
         sizes[dst] += 1
         part[v] = dst
-    return int(sum(1 for row in counts if np.count_nonzero(row) > 1))
 
 
-def hgpa(ts: PartitionSet, seed: int = 0, k: int | None = None, restarts: int = 8) -> Partition:
+def hgpa(ts: PartitionSet, seed: int = 0, k: int | None = None) -> Partition:
     """Hypergraph partitioning consensus: greedy balanced minimum
     hyperedge cut into k parts (the consensus cluster count by default).
 
@@ -203,25 +198,24 @@ def hgpa(ts: PartitionSet, seed: int = 0, k: int | None = None, restarts: int = 
     ties. Purely greedy descent can stall on symmetric mixes, hence the
     restarts.
     """
+    if k is not None and k < 1:
+        raise DdceError(f"hgpa needs k >= 1, got {k}")
     n = ts.n
     if n == 0:
         return Partition(labels=np.empty(0, dtype=int), ids=ts.ids)
     k = min(k_target(ts) if k is None else k, n)
     edges = _hyperedges(ts)
-    if k <= 1 or not edges:
-        part = np.empty(n, dtype=int)
-        part[substream(seed, "hgpa", 0).permutation(n)] = np.arange(n) % k
-        return Partition(labels=canonicalize_labels(part), ids=ts.ids)
     edges_of = [[] for _ in range(n)]
     for e_idx, members in enumerate(edges):
         for v in members:
             edges_of[v].append(e_idx)
     best_part = None
     best_cut = None
-    for r in range(restarts):
+    for r in range(HGPA_RESTARTS):
         part = np.empty(n, dtype=int)
         part[substream(seed, "hgpa", r).permutation(n)] = np.arange(n) % k
-        cut = _hgpa_descend(n, k, edges, edges_of, part)
+        _hgpa_descend(n, k, edges, edges_of, part)
+        cut = _cut(edges, part)
         if best_cut is None or cut < best_cut:
             best_part, best_cut = part, cut
         if best_cut == 0:
@@ -231,14 +225,10 @@ def hgpa(ts: PartitionSet, seed: int = 0, k: int | None = None, restarts: int = 
 
 def hyperedge_cut(ts: PartitionSet, labels: np.ndarray) -> int:
     """Number of hyperedges spanning more than one part under ``labels``."""
-    cut = 0
-    for members in _hyperedges(ts):
-        if len(np.unique(labels[members])) > 1:
-            cut += 1
-    return cut
+    return _cut(_hyperedges(ts), labels)
 
 
-def mcla(ts: PartitionSet, k: int | None = None) -> Partition:
+def mcla(ts: PartitionSet) -> Partition:
     """Meta-clustering consensus: group the clusters themselves by Jaccard
     similarity into k_target meta-clusters, then give each sample the
     meta-cluster holding the largest fraction of its K labels."""
@@ -255,7 +245,7 @@ def mcla(ts: PartitionSet, k: int | None = None) -> Partition:
             inter = len(sets[i] & sets[j])
             union = len(sets[i] | sets[j])
             jd[i, j] = jd[j, i] = 1.0 - inter / union
-    meta = average_linkage_labels(jd, min(k_target(ts) if k is None else k, m))
+    meta = average_linkage_labels(jd, min(k_target(ts), m))
     n_meta = int(meta.max()) + 1
     assoc = np.zeros((n, n_meta))
     for e_idx, members in enumerate(edges):
@@ -271,38 +261,37 @@ def nmi_sum(labels: np.ndarray, ts: PartitionSet) -> float:
     return float(sum(nmi_labels(labels, np.asarray(p.labels)) for p in ts.partitions))
 
 
+def _most_agreeing(candidates: list[Partition], ts: PartitionSet) -> tuple[int, list[float]]:
+    """Index of the candidate with the highest :func:`nmi_sum` (the first
+    on ties), and every candidate's sum."""
+    sums = [nmi_sum(np.asarray(p.labels), ts) for p in candidates]
+    return int(np.argmax(sums)), sums
+
+
 def chm_with_details(ts: PartitionSet, seed: int = 0) -> tuple[Partition, dict]:
-    candidates = [
-        ("CSPA", cspa(ts)),
-        ("HGPA", hgpa(ts, seed=seed)),
-        ("MCLA", mcla(ts)),
-    ]
-    sums = {name: nmi_sum(np.asarray(p.labels), ts) for name, p in candidates}
-    best_name, best_p = candidates[0]
-    for name, p in candidates[1:]:
-        if sums[name] > sums[best_name]:
-            best_name, best_p = name, p
-    return best_p, {"candidate_nmi_sums": sums, "chosen_candidate": best_name}
+    names = ("CSPA", "HGPA", "MCLA")
+    candidates = [cspa(ts), hgpa(ts, seed=seed), mcla(ts)]
+    idx, sums = _most_agreeing(candidates, ts)
+    return candidates[idx], {
+        "candidate_nmi_sums": dict(zip(names, sums)), "chosen_candidate": names[idx],
+    }
 
 
 def chm(ts: PartitionSet, seed: int = 0) -> Partition:
     """Run all three combiners and return the one agreeing most with the
     base partitions (ties prefer CSPA, then HGPA, then MCLA)."""
-    best_p, _ = chm_with_details(ts, seed=seed)
-    return best_p
+    return chm_with_details(ts, seed=seed)[0]
 
 
 def bok_with_details(ts: PartitionSet) -> tuple[Partition, dict]:
-    sums = [nmi_sum(np.asarray(p.labels), ts) for p in ts.partitions]
-    idx = int(np.argmax(sums))
+    idx, sums = _most_agreeing(ts.partitions, ts)
     return ts.partitions[idx], {"winner_index": idx, "nmi_sums": sums}
 
 
 def bok(ts: PartitionSet) -> Partition:
     """Best of K: the base partition with the highest total agreement with
     all base partitions (lowest model index on ties)."""
-    best_p, _ = bok_with_details(ts)
-    return best_p
+    return bok_with_details(ts)[0]
 
 
 def outlier_vote(ts: PartitionSet) -> OutlierVote:
@@ -319,30 +308,27 @@ def bokv_with_details(ts: PartitionSet) -> tuple[Partition, dict]:
     if ts.val_recalls is None:
         raise DdceError("bokv requires the base models' validation recalls")
     gate_open = sum(1 for r in ts.val_recalls if r > 0.5) * 2 > ts.k
+    n_voted_outliers = None
     if not gate_open:
-        part, details = bok_with_details(ts)
-        return part, {
-            "gate_open": False, "degraded_to_bok": True, **details, "n_voted_outliers": None,
-        }
-    vote = outlier_vote(ts)
-    if len(vote.i_nout) == 0:
-        labels = np.full(ts.n, -1, dtype=int)
-        return Partition(labels=labels, ids=ts.ids), {
-            "gate_open": True, "degraded_to_bok": False,
-            "winner_index": None, "nmi_sums": None,
-            "n_voted_outliers": int(len(vote.i_out)),
-        }
-    restricted = [np.asarray(p.labels)[vote.i_nout] for p in ts.partitions]
-    sums = [
-        float(sum(nmi_labels(r, other) for other in restricted)) for r in restricted
-    ]
-    winner = int(np.argmax(sums))
-    labels = np.asarray(ts.partitions[winner].labels).copy()
-    labels[vote.i_out] = -1
-    return Partition(labels=labels, ids=ts.ids), {
-        "gate_open": True, "degraded_to_bok": False,
-        "winner_index": winner, "nmi_sums": sums,
-        "n_voted_outliers": int(len(vote.i_out)),
+        part, best = bok_with_details(ts)
+    else:
+        vote = outlier_vote(ts)
+        n_voted_outliers = int(len(vote.i_out))
+        if len(vote.i_nout) == 0:
+            part = Partition(labels=np.full(ts.n, -1, dtype=int), ids=ts.ids)
+            best = {"winner_index": None, "nmi_sums": None}
+        else:
+            ids = [ts.ids[i] for i in vote.i_nout]
+            _, best = bok_with_details(PartitionSet(
+                [Partition(labels=np.asarray(p.labels)[vote.i_nout], ids=ids)
+                 for p in ts.partitions]
+            ))
+            labels = np.asarray(ts.partitions[best["winner_index"]].labels).copy()
+            labels[vote.i_out] = -1
+            part = Partition(labels=labels, ids=ts.ids)
+    return part, {
+        "gate_open": gate_open, "degraded_to_bok": not gate_open, **best,
+        "n_voted_outliers": n_voted_outliers,
     }
 
 
@@ -352,8 +338,7 @@ def bokv(ts: PartitionSet) -> Partition:
     vote and the best base partition (by agreement restricted to voted
     non-outliers) labels the rest; otherwise falls back to plain best-of-K.
     """
-    best_p, _ = bokv_with_details(ts)
-    return best_p
+    return bokv_with_details(ts)[0]
 
 
 # Name -> (ts, seed) -> (partition, details). The lambdas look the functions

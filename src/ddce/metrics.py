@@ -176,8 +176,18 @@ def ground_truth_labels(d_truth, pred_ids: list[str]) -> tuple[np.ndarray, list[
 
 
 def score(d_truth, pred: Partition) -> Scores:
-    """Score a predicted partition against a dataset carrying ground truth."""
-    return score_against(*ground_truth_labels(d_truth, pred.ids), pred)
+    """Score a predicted partition against a dataset carrying ground truth;
+    the partition must hold exactly one row per truth row."""
+    truth = ground_truth_labels(d_truth, pred.ids)
+    # Every partition id is a truth id, so distinct ids as many as truth
+    # rows make it one partition row per truth row.
+    distinct = len(set(pred.ids))
+    if not distinct == pred.n == len(d_truth.rows):
+        raise AlignmentError(
+            f"expected one partition row per truth row, got {pred.n} rows with "
+            f"{distinct} distinct ids for {len(d_truth.rows)} truth rows"
+        )
+    return score_against(*truth, pred)
 
 
 def score_against(truth_labels: np.ndarray, truth_outlier_flags, pred: Partition) -> Scores:

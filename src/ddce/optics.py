@@ -106,13 +106,6 @@ def _ordering_from_distances(
     sorted_d: np.ndarray | None = None,
 ) -> ReachabilityOrdering:
     n = D.shape[0]
-    if n == 0:
-        empty_f = np.empty(0)
-        empty_i = np.empty(0, dtype=int)
-        return ReachabilityOrdering(
-            order=empty_i, reachability=empty_f, core_distance=empty_f,
-            predecessor=empty_i, ids=list(ids),
-        )
     # Core distance counts the point itself among its neighbors.
     if params.min_samples > n:
         core = np.full(n, np.inf)
@@ -282,14 +275,13 @@ def extract_xi_clusters(ordering: ReachabilityOrdering, xi: float, min_samples: 
         raise DdceError(f"xi must be in (0, 1), got {xi}")
     n = len(ordering.order)
     labels = np.full(n, -1, dtype=int)
-    if n > 0:
-        r = ordering.reachability[ordering.order]
-        cands = _xi_candidate_clusters(r, xi, min_samples)
-        by_size = sorted(cands, key=lambda c: c[1] - c[0], reverse=True)
-        pos_labels = np.full(n, -1, dtype=int)
-        for lab, (s, e) in enumerate(by_size):
-            pos_labels[s : e + 1] = lab
-        labels[ordering.order] = pos_labels
+    r = ordering.reachability[ordering.order]
+    cands = _xi_candidate_clusters(r, xi, min_samples)
+    by_size = sorted(cands, key=lambda c: c[1] - c[0], reverse=True)
+    pos_labels = np.full(n, -1, dtype=int)
+    for lab, (s, e) in enumerate(by_size):
+        pos_labels[s : e + 1] = lab
+    labels[ordering.order] = pos_labels
     return Partition(labels=canonicalize_labels(labels), ids=list(ordering.ids))
 
 
@@ -321,8 +313,6 @@ def cluster_with_distances(
 ) -> Partition:
     """As :func:`cluster` but on a precomputed distance matrix, optionally
     with its row-sorted copy; lets a hyperparameter search reuse both."""
-    if D.shape[0] == 0:
-        return Partition(labels=np.empty(0, dtype=int), ids=list(ids))
     ordering = _ordering_from_distances(D, ids, params, sorted_d=sorted_d)
     extracted = extract_xi_clusters(ordering, params.xi, params.min_samples)
     return filter_small_clusters(extracted, s_min)
@@ -337,17 +327,17 @@ def save_partition_jsonl(p: Partition, path: str) -> None:
 
 
 def load_partition_jsonl(path: str) -> Partition:
-    ids = []
-    labels = []
+    rows: dict[str, int] = {}  # id -> label, in file order
     for lineno, obj in read_jsonl(path):
         if not isinstance(obj, dict) or not {"id", "cluster"} <= obj.keys():
             raise DdceError(f"{path}:{lineno}: expected an object with id and cluster")
         if not isinstance(obj["id"], str):
             raise DdceError(f"{path}:{lineno}: id must be a string, got {obj['id']!r}")
+        if obj["id"] in rows:
+            raise DdceError(f"{path}:{lineno}: repeated id {obj['id']!r}")
         label = obj["cluster"]
         # A label must fit the int64 array below; -1 is the only negative one.
         if isinstance(label, bool) or not isinstance(label, int) or not -1 <= label < 2**63:
             raise DdceError(f"{path}:{lineno}: cluster must be an integer >= -1, got {label!r}")
-        ids.append(obj["id"])
-        labels.append(label)
-    return Partition(labels=np.array(labels, dtype=int), ids=ids)
+        rows[obj["id"]] = label
+    return Partition(labels=np.array(list(rows.values()), dtype=int), ids=list(rows))

@@ -41,6 +41,10 @@ class PipelineConfig:
             raise DdceError(f"k_models must be >= 1, got {self.k_models}")
         if not 0.0 < self.alpha < 1.0:
             raise DdceError(f"alpha must be in (0, 1), got {self.alpha}")
+        if self.s_min < 1:
+            raise DdceError(f"s_min must be >= 1, got {self.s_min}")
+        if not 0.0 <= self.outlier_ratio < np.inf:
+            raise DdceError(f"outlier_ratio must be finite and >= 0, got {self.outlier_ratio}")
         if self.consensus_fn not in consensus_mod.CONSENSUS_FUNCTIONS:
             raise DdceError(f"unknown consensus function {self.consensus_fn!r}")
         if self.metric not in optics.METRICS:

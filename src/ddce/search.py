@@ -25,6 +25,10 @@ class SearchSpace:
             raise DdceError(f"empty max_eps range {self.max_eps_range}")
         if not self.xi_range[0] < self.xi_range[1]:
             raise DdceError(f"empty xi range {self.xi_range}")
+        if not (self.max_eps_range[0] >= 0.0 and self.max_eps_range[1] < np.inf):
+            raise DdceError(f"max_eps_range must be finite and >= 0, got {self.max_eps_range}")
+        if not (self.xi_range[0] >= 0.0 and self.xi_range[1] <= 1.0):
+            raise DdceError(f"xi_range must lie within [0, 1], got {self.xi_range}")
         if self.min_samples_range[0] > self.min_samples_range[1]:
             raise DdceError(f"empty min_samples range {self.min_samples_range}")
         if self.min_samples_range[0] < 2:

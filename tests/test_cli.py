@@ -234,6 +234,39 @@ class TestMalformedInputs:
         code = run("evaluate", "--truth", paths["truth"], "--pred", paths["pred"])
         assert f"{paths[bad_file]}:2:" in self._assert_one_error(code, capsys)
 
+    @pytest.mark.parametrize("pred_ids, bad_line", [
+        (["a", "a", "b"], "pred.jsonl:2: repeated id"),
+        (["a", "b"], "one partition row per truth row"),  # truth row c has no partition row
+    ])
+    def test_evaluate_needs_one_row_per_truth_row(self, tmp_path, capsys, pred_ids, bad_line):
+        truth = str(tmp_path / "truth.jsonl")
+        pred = str(tmp_path / "pred.jsonl")
+        with open(truth, "w") as fh:
+            for rid, intent in (("a", "x"), ("b", "x"), ("c", "y")):
+                fh.write(json.dumps({"id": rid, "text": "t", "intent": intent}) + "\n")
+        with open(pred, "w") as fh:
+            for rid in pred_ids:
+                fh.write(json.dumps({"id": rid, "cluster": 0}) + "\n")
+        code = run("evaluate", "--truth", truth, "--pred", pred)
+        assert bad_line in self._assert_one_error(code, capsys)
+
+    @pytest.mark.parametrize("config, key", [
+        ({"search_space": {"xi_range": [0.5, 1.5]}}, "xi_range"),
+        ({"s_min": 0}, "s_min"),
+        ({"outlier_ratio": -1.0}, "outlier_ratio"),
+        ({"search_space": {"max_eps_range": [-1.0, 0.5]}}, "max_eps_range"),
+    ])
+    def test_out_of_range_config_fails_at_load(self, workspace, tmp_path, capsys, config, key):
+        """Rejected before any base model trains, with the key named."""
+        bad = str(tmp_path / "bad.json")
+        with open(bad, "w") as fh:
+            json.dump(config, fh)
+        code = run("train", "--labeled", workspace["labeled"],
+                   "--outlier-source", workspace["source"],
+                   "--config", bad, "--out", str(tmp_path / "x"))
+        err = self._assert_one_error(code, capsys)
+        assert key in err and "base model" not in err
+
     @pytest.mark.parametrize("row_id, payload", [
         (b"\xff", struct.pack("<2f", 1, 0)),  # id not UTF-8
         (b"a", struct.pack("<2I", 0x7F800001, 0)),  # signaling NaN

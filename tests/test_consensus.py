@@ -108,6 +108,14 @@ class TestCspa:
         ts = TS([[0, 0, 1, 1, -1]] * 3)
         assert cspa(ts).labels[4] == -1
 
+    @pytest.mark.parametrize("labelsets", [
+        [[0, 1, 2, 3], [3, 2, 1, 0]],
+        [[-1, -1, -1], [0, -1, 1]],
+    ])
+    def test_all_isolated_all_outliers(self, labelsets):
+        out = cspa(TS(labelsets))
+        assert out.labels.tolist() == [-1] * len(labelsets[0])
+
     # Exhaustive oracle instances: clean block structure where the
     # co-association consensus should reach the enumeration optimum.
     ORACLE_INSTANCES = [
@@ -182,6 +190,19 @@ class TestHgpa:
         a = hgpa(ts, seed=5)
         b = hgpa(ts, seed=5)
         assert np.array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize("labelsets, k", [
+        ([[0, 0, 1, 1, 2], [0, 1, 1, 2, 2]], 1),
+        ([[-1, -1, -1, -1]] * 2, None),  # no hyperedges, so k_target is 1
+    ])
+    def test_one_part_or_no_hyperedges_all_zero(self, labelsets, k):
+        ts = TS(labelsets)
+        assert hgpa(ts, seed=2, k=k).labels.tolist() == [0] * ts.n
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(DdceError, match="k >= 1"):
+            hgpa(TS([[0, 0, 1, 1]]), k=k)
 
 
 class TestMcla:
@@ -379,3 +400,5 @@ class TestAverageLinkage:
         D = np.ones((3, 3))
         np.fill_diagonal(D, 0.0)
         assert average_linkage_labels(D, 5).tolist() == [0, 1, 2]
+        empty = average_linkage_labels(np.empty((0, 0)), 5)
+        assert empty.dtype == np.int64 and empty.size == 0

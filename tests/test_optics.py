@@ -11,6 +11,7 @@ from ddce.optics import (
     _ordering_from_distances,
     canonicalize_labels,
     cluster,
+    cluster_with_distances,
     compute_ordering,
     extract_xi_clusters,
     filter_small_clusters,
@@ -75,6 +76,8 @@ class TestComputeOrdering:
     def test_empty_input(self):
         got = compute_ordering(emb(np.empty((0, 3))), OpticsParams(1.0, 0.1, 2))
         assert got.order.size == 0
+        part = extract_xi_clusters(got, 0.1, 2)
+        assert part.labels.dtype == np.int64 and part.labels.size == 0
 
     def test_reachability_consistent_with_predecessor(self):
         data = np.random.default_rng(5).normal(size=(40, 3))
@@ -281,6 +284,10 @@ class TestCluster:
     def test_empty_matrix(self):
         part = cluster(emb(np.empty((0, 4))), OpticsParams(0.3, 0.05, 3), 2)
         assert part.n == 0
+        D = np.empty((0, 0))
+        for sorted_d in (None, D):
+            part = cluster_with_distances(D, [], OpticsParams(0.3, 0.05, 3), 2, sorted_d=sorted_d)
+            assert part.labels.dtype == np.int64 and part.labels.size == 0
 
     @pytest.mark.parametrize("seed", range(10))
     def test_cosine_blobs_with_noise(self, seed):

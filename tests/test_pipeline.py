@@ -326,6 +326,25 @@ class TestConfigSerialization:
         with pytest.raises(ConfigError, match=message):
             config_from_dict(obj)
 
+    @pytest.mark.parametrize("obj, key", [
+        ({"search_space": {"xi_range": [0.5, 1.5]}}, "xi_range"),
+        ({"search_space": {"xi_range": [-0.1, 0.5]}}, "xi_range"),
+        ({"search_space": {"max_eps_range": [-1.0, 0.5]}}, "max_eps_range"),
+        ({"search_space": {"max_eps_range": [0.0, float("inf")]}}, "max_eps_range"),
+        ({"s_min": 0}, "s_min"),
+        ({"outlier_ratio": -1.0}, "outlier_ratio"),
+        ({"outlier_ratio": float("inf")}, "outlier_ratio"),
+        ({"outlier_ratio": float("nan")}, "outlier_ratio"),
+    ])
+    def test_out_of_range_values_rejected(self, obj, key):
+        with pytest.raises(DdceError, match=key):
+            config_from_dict(obj)
+
+    def test_range_bounds_accepted(self):
+        obj = {"s_min": 1, "outlier_ratio": 0,
+               "search_space": {"xi_range": [0, 1], "max_eps_range": [0, 2]}}
+        assert config_to_dict(config_from_dict(obj))["search_space"]["xi_range"] == [0, 1]
+
 
 class TestArtifactSerialization:
     def test_roundtrip_with_encoder(self):
