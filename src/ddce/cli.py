@@ -48,7 +48,9 @@ def _write_manifest(args, cfg_seed: int, extra_inputs: list[str]) -> None:
 
 
 def _load_labeled(args, cfg) -> corpus.LabeledDataset:
-    cap = args.max_per_intent if args.max_per_intent > 0 else None
+    if args.max_per_intent < 0:
+        raise DdceError(f"--max-per-intent must be >= 0, got {args.max_per_intent}")
+    cap = args.max_per_intent or None
     rng = substream(cfg.master_seed, "cap") if cap else None
     return corpus.load_labeled_jsonl(args.labeled, max_per_intent=cap, rng=rng)
 

@@ -8,7 +8,8 @@ voting gated on the base models' validation recall.
 The classic hypergraph partitioners are replaced by deterministic,
 dependency-free stand-ins: average-linkage agglomeration (CSPA, MCLA) and
 a greedy balanced min-hyperedge-cut (HGPA). Ties always break toward the
-smallest index.
+smallest index. All three combiners read one hyperedge incidence matrix H,
+with a row per sample and a 0/1 column per non-outlier base cluster.
 """
 
 from __future__ import annotations
@@ -98,54 +99,48 @@ def average_linkage_labels(D: np.ndarray, k: int) -> np.ndarray:
     return canonicalize_labels(group_of)
 
 
+def _incidence(ts: PartitionSet) -> np.ndarray:
+    """Hyperedge incidence matrix H: n x m floats, H[i, e] = 1 when sample
+    i is in cluster e, one column per non-outlier cluster in (partition,
+    label value) order. Products of H hold exact integer counts."""
+    columns = []
+    for p in ts.partitions:
+        lab = np.asarray(p.labels)
+        columns.append(lab[:, None] == np.unique(lab[lab != -1]))
+    return np.hstack(columns).astype(float)
+
+
 def co_association(ts: PartitionSet) -> np.ndarray:
     """n x n matrix of fractions of base models co-clustering each pair;
     outlier labels never co-associate."""
-    n = ts.n
-    S = np.zeros((n, n))
-    for p in ts.partitions:
-        lab = np.asarray(p.labels)
-        valid = lab != -1
-        S += (lab[:, None] == lab[None, :]) & valid[:, None] & valid[None, :]
-    return S / ts.k
+    H = _incidence(ts)
+    return H @ H.T / ts.k
 
 
 def cspa(ts: PartitionSet) -> Partition:
     """Cluster-based similarity partitioning: average-linkage consensus on
     the co-association matrix. Samples co-clustered with nobody in any
-    model become outliers."""
-    S = co_association(ts)
-    off = S.copy()
-    np.fill_diagonal(off, 0.0)
-    isolated = off.sum(axis=1) == 0.0
+    model (every cluster holding them is a singleton) become outliers."""
+    H = _incidence(ts)
+    rest = np.flatnonzero(H[:, H.sum(axis=0) > 1].any(axis=1))
+    shared = H[rest]
     labels = np.full(ts.n, -1, dtype=int)
-    rest = np.flatnonzero(~isolated)
-    labels[rest] = average_linkage_labels(1.0 - S[np.ix_(rest, rest)], k_target(ts))
+    labels[rest] = average_linkage_labels(1.0 - shared @ shared.T / ts.k, k_target(ts))
     return Partition(labels=canonicalize_labels(labels), ids=ts.ids)
 
 
-def _hyperedges(ts: PartitionSet) -> list[np.ndarray]:
-    """All non-outlier clusters across partitions as member-index arrays,
-    in (partition, label value) order."""
-    edges = []
-    for p in ts.partitions:
-        lab = np.asarray(p.labels)
-        for value in np.unique(lab[lab != -1]):
-            edges.append(np.flatnonzero(lab == value))
-    return edges
-
-
-def _cut(edges: list[np.ndarray], labels: np.ndarray) -> int:
+def _cut(H: np.ndarray, labels: np.ndarray) -> int:
     """Number of hyperedges whose members fall in more than one part."""
-    return sum(1 for members in edges if len(np.unique(labels[members])) > 1)
+    values, part = np.unique(labels, return_inverse=True)
+    counts = H.T @ (part[:, None] == np.arange(len(values)))
+    return int(np.count_nonzero(np.count_nonzero(counts, axis=1) > 1))
 
 
-def _hgpa_descend(n, k, edges, edges_of, part) -> None:
+def _hgpa_descend(H, edges_of, k, part) -> None:
     """Best-improvement single-vertex moves until no move reduces the cut;
     mutates ``part`` in place."""
-    counts = np.zeros((len(edges), k), dtype=int)
-    for e_idx, members in enumerate(edges):
-        counts[e_idx] = np.bincount(part[members], minlength=k)
+    n = len(part)
+    counts = (H.T @ (part[:, None] == np.arange(k))).astype(int)
     sizes = np.bincount(part, minlength=k)
     target = n / k
 
@@ -204,18 +199,15 @@ def hgpa(ts: PartitionSet, seed: int = 0, k: int | None = None) -> Partition:
     if n == 0:
         return Partition(labels=np.empty(0, dtype=int), ids=ts.ids)
     k = min(k_target(ts) if k is None else k, n)
-    edges = _hyperedges(ts)
-    edges_of = [[] for _ in range(n)]
-    for e_idx, members in enumerate(edges):
-        for v in members:
-            edges_of[v].append(e_idx)
+    H = _incidence(ts)
+    edges_of = [np.flatnonzero(row).tolist() for row in H]
     best_part = None
     best_cut = None
     for r in range(HGPA_RESTARTS):
         part = np.empty(n, dtype=int)
         part[substream(seed, "hgpa", r).permutation(n)] = np.arange(n) % k
-        _hgpa_descend(n, k, edges, edges_of, part)
-        cut = _cut(edges, part)
+        _hgpa_descend(H, edges_of, k, part)
+        cut = _cut(H, part)
         if best_cut is None or cut < best_cut:
             best_part, best_cut = part, cut
         if best_cut == 0:
@@ -225,32 +217,23 @@ def hgpa(ts: PartitionSet, seed: int = 0, k: int | None = None) -> Partition:
 
 def hyperedge_cut(ts: PartitionSet, labels: np.ndarray) -> int:
     """Number of hyperedges spanning more than one part under ``labels``."""
-    return _cut(_hyperedges(ts), labels)
+    return _cut(_incidence(ts), labels)
 
 
 def mcla(ts: PartitionSet) -> Partition:
     """Meta-clustering consensus: group the clusters themselves by Jaccard
     similarity into k_target meta-clusters, then give each sample the
     meta-cluster holding the largest fraction of its K labels."""
-    n = ts.n
-    edges = _hyperedges(ts)
-    labels = np.full(n, -1, dtype=int)
-    if not edges:
+    H = _incidence(ts)
+    labels = np.full(ts.n, -1, dtype=int)
+    m = H.shape[1]
+    if m == 0:
         return Partition(labels=labels, ids=ts.ids)
-    m = len(edges)
-    sets = [set(map(int, e)) for e in edges]
-    jd = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            inter = len(sets[i] & sets[j])
-            union = len(sets[i] | sets[j])
-            jd[i, j] = jd[j, i] = 1.0 - inter / union
+    inter = H.T @ H
+    size = np.diag(inter)
+    jd = 1.0 - inter / (size[:, None] + size[None, :] - inter)
     meta = average_linkage_labels(jd, min(k_target(ts), m))
-    n_meta = int(meta.max()) + 1
-    assoc = np.zeros((n, n_meta))
-    for e_idx, members in enumerate(edges):
-        assoc[members, meta[e_idx]] += 1.0
-    assoc /= ts.k
+    assoc = H @ (meta[:, None] == np.arange(int(meta.max()) + 1)) / ts.k
     has_any = assoc.sum(axis=1) > 0.0
     labels[has_any] = np.argmax(assoc[has_any], axis=1)
     return Partition(labels=canonicalize_labels(labels), ids=ts.ids)

@@ -113,6 +113,8 @@ class TrainConfig:
             raise DdceError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.hidden_dim < 1:
             raise DdceError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
+        if self.feature_dim < 16:
+            raise DdceError(f"feature_dim must be >= 16, got {self.feature_dim}")
 
 
 @dataclass(frozen=True)
@@ -241,7 +243,8 @@ def save_embeddings(m: EmbeddingMatrix, path: str) -> None:
 
 
 def load_precomputed(path: str) -> EmbeddingMatrix:
-    """Read an EMB1 file, validating magic, payload length and finiteness."""
+    """Read an EMB1 file, validating magic, id uniqueness, payload length
+    and finiteness."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != EMB1_MAGIC:
@@ -251,6 +254,7 @@ def load_precomputed(path: str) -> EmbeddingMatrix:
     n, d = struct.unpack_from("<II", blob, 4)
     offset = 12
     ids = []
+    seen = set()
     for _ in range(n):
         if offset + 2 > len(blob):
             raise EmbeddingTruncatedError(f"{path}: id table truncated")
@@ -259,9 +263,13 @@ def load_precomputed(path: str) -> EmbeddingMatrix:
         if offset + id_len > len(blob):
             raise EmbeddingTruncatedError(f"{path}: id table truncated")
         try:
-            ids.append(blob[offset : offset + id_len].decode("utf-8"))
+            rid = blob[offset : offset + id_len].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise EmbeddingFormatError(f"{path}: row {len(ids)} id is not UTF-8: {exc}") from exc
+        if rid in seen:
+            raise EmbeddingFormatError(f"{path}: row {len(ids)} repeats id {rid!r}")
+        seen.add(rid)
+        ids.append(rid)
         offset += id_len
     need = n * d * 4
     if len(blob) - offset < need:

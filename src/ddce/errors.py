@@ -26,7 +26,7 @@ class MissingGroundTruthError(DdceError):
 
 
 class EmbeddingFormatError(DdceError):
-    """Embedding file does not start with the expected magic bytes."""
+    """Embedding file has a bad magic, a non-UTF-8 id or a repeated id."""
 
 
 class EmbeddingTruncatedError(DdceError):

@@ -33,6 +33,8 @@ class SearchSpace:
             raise DdceError(f"empty min_samples range {self.min_samples_range}")
         if self.min_samples_range[0] < 2:
             raise DdceError("min_samples must be >= 2")
+        if self.n_trials < 1:
+            raise EmptySearchError(f"n_trials must be >= 1, got {self.n_trials}")
 
 
 @dataclass(frozen=True)
@@ -84,8 +86,6 @@ def random_search(
     the ground-truth labels are shared across trials since the embeddings
     and the validation rows never change.
     """
-    if space.n_trials < 1:
-        raise EmptySearchError("random search needs at least 1 trial")
     truth_ids = [r.id for r in truth.rows]
     if e_hs.row_ids != truth_ids:
         raise AlignmentError("embedding rows are not aligned with the validation rows")

@@ -176,6 +176,19 @@ def balanced_splits(n: int, k: int):
             yield labels
 
 
+def ref_hyperedges(labelsets) -> list[list[int]]:
+    """Members of every non-outlier cluster of every partition, grouped
+    with a dict."""
+    edges = []
+    for labels in labelsets:
+        groups: dict[int, list[int]] = {}
+        for i, lab in enumerate(labels):
+            if lab != -1:
+                groups.setdefault(lab, []).append(i)
+        edges.extend(groups.values())
+    return edges
+
+
 def hyperedge_cut_value(edges, labels) -> int:
     cut = 0
     for members in edges:
@@ -183,6 +196,20 @@ def hyperedge_cut_value(edges, labels) -> int:
         if len(parts) > 1:
             cut += 1
     return cut
+
+
+# ---------------------------------------------------------------------------
+# Pair-loop co-association
+
+def ref_co_association(labelsets) -> list[list[float]]:
+    """Fraction of the partitions that put i and j in the same non-outlier
+    cluster, counted pair by pair."""
+    n = len(labelsets[0])
+    return [
+        [sum(1 for labels in labelsets if labels[i] != -1 and labels[i] == labels[j])
+         / len(labelsets) for j in range(n)]
+        for i in range(n)
+    ]
 
 
 # ---------------------------------------------------------------------------

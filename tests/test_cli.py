@@ -3,11 +3,12 @@ import os
 import struct
 import warnings
 
+import numpy as np
 import pytest
 
 from ddce.cli import main
 from ddce.corpus import save_jsonl
-from ddce.embed import load_precomputed
+from ddce.embed import EmbeddingMatrix, load_precomputed, save_embeddings
 
 from conftest import make_benchmark
 
@@ -255,6 +256,8 @@ class TestMalformedInputs:
         ({"s_min": 0}, "s_min"),
         ({"outlier_ratio": -1.0}, "outlier_ratio"),
         ({"search_space": {"max_eps_range": [-1.0, 0.5]}}, "max_eps_range"),
+        ({"search_space": {"n_trials": 0}}, "n_trials"),
+        ({"train_cfg": {"feature_dim": 8}}, "feature_dim"),
     ])
     def test_out_of_range_config_fails_at_load(self, workspace, tmp_path, capsys, config, key):
         """Rejected before any base model trains, with the key named."""
@@ -280,6 +283,26 @@ class TestMalformedInputs:
             code = run("cluster", "--embeddings", path, "--max-eps", "0.4", "--xi", "0.05",
                        "--min-samples", "2", "--out", str(tmp_path / "x"))
         assert path in self._assert_one_error(code, capsys)
+
+    def test_emb1_repeated_id(self, tmp_path, capsys):
+        """A repeated id would reach partition.jsonl, which evaluate rejects."""
+        path = str(tmp_path / "dup.emb1")
+        ids = ["r0", "r1", "r2", "r3", "r4", "r4"]
+        save_embeddings(EmbeddingMatrix(data=np.eye(6), row_ids=ids), path)
+        code = run("cluster", "--embeddings", path, "--max-eps", "0.4", "--xi", "0.05",
+                   "--min-samples", "2", "--out", str(tmp_path / "x"))
+        err = self._assert_one_error(code, capsys)
+        assert path in err and "'r4'" in err
+        assert not os.path.exists(tmp_path / "x" / "partition.jsonl")
+
+    def test_negative_max_per_intent(self, workspace, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = run("train", "--labeled", workspace["labeled"],
+                   "--outlier-source", workspace["source"],
+                   "--config", workspace["config"], "--max-per-intent", "-3",
+                   "--out", str(out))
+        assert "--max-per-intent" in self._assert_one_error(code, capsys)
+        assert not os.path.exists(out / "artifacts.json")
 
     @staticmethod
     def _assert_one_error(code, capsys):

@@ -23,7 +23,13 @@ from ddce.errors import AlignmentError, DdceError
 from ddce.metrics import nmi
 from ddce.optics import Partition
 
-from oracles import balanced_splits, hyperedge_cut_value, partitions_into_k
+from oracles import (
+    balanced_splits,
+    hyperedge_cut_value,
+    partitions_into_k,
+    ref_co_association,
+    ref_hyperedges,
+)
 
 
 def P(labels, n=None):
@@ -167,11 +173,7 @@ class TestHgpa:
         ]
         ts = TS(labelsets)
         out = hgpa(ts, seed=0, k=2)
-        edges = []
-        for ls in labelsets:
-            arr = np.array(ls)
-            for v in np.unique(arr):
-                edges.append(np.flatnonzero(arr == v))
+        edges = ref_hyperedges(labelsets)
         oracle_best = min(
             hyperedge_cut_value(edges, labels) for labels in balanced_splits(8, 2)
         )
@@ -233,6 +235,46 @@ class TestMcla:
         ts = TS([[0, 0, 1, 1], [0, 0, 0, 0]])
         out = mcla(ts)
         assert out.labels[0] == out.labels[1]
+
+
+def random_labelsets(seed: int) -> list[list[int]]:
+    """K = 1..6 partitions of n = 1..30 samples with arbitrary label values
+    and outliers; every fourth set is all outliers, all singletons or K
+    copies of one partition."""
+    rng = np.random.default_rng(seed)
+    k, n = int(rng.integers(1, 7)), int(rng.integers(1, 31))
+    kind = seed % 4
+    if kind == 1:
+        return [[-1] * n for _ in range(k)]
+    if kind == 2:
+        return [rng.permutation(n).tolist() for _ in range(k)]
+    labelsets = []
+    for _ in range(k):
+        labels = rng.integers(0, int(rng.integers(1, n + 1)), size=n) * 5 + 3
+        labels[rng.random(n) < rng.random() * 0.6] = -1
+        labelsets.append(labels.tolist())
+    return [labelsets[0]] * k if kind == 3 else labelsets
+
+
+class TestIncidenceOracles:
+    """Seeded battery checking the incidence-matrix products against the
+    pair-loop and per-edge definitions."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_co_association_equals_pair_loop(self, seed):
+        labelsets = random_labelsets(seed)
+        S = co_association(TS(labelsets))
+        assert S.dtype == np.float64
+        assert S.tolist() == ref_co_association(labelsets)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_hyperedge_cut_equals_per_edge_count(self, seed):
+        labelsets = random_labelsets(seed)
+        ts = TS(labelsets)
+        edges = ref_hyperedges(labelsets)
+        rng = np.random.default_rng(1000 + seed)
+        for labels in (rng.integers(-1, 4, size=ts.n), hgpa(ts, seed=seed).labels):
+            assert hyperedge_cut(ts, labels) == hyperedge_cut_value(edges, labels.tolist())
 
 
 class TestChm:

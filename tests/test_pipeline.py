@@ -335,6 +335,8 @@ class TestConfigSerialization:
         ({"outlier_ratio": -1.0}, "outlier_ratio"),
         ({"outlier_ratio": float("inf")}, "outlier_ratio"),
         ({"outlier_ratio": float("nan")}, "outlier_ratio"),
+        ({"search_space": {"n_trials": 0}}, "n_trials"),
+        ({"train_cfg": {"feature_dim": 15}}, "feature_dim"),
     ])
     def test_out_of_range_values_rejected(self, obj, key):
         with pytest.raises(DdceError, match=key):
