@@ -142,7 +142,7 @@ def _cmd_baseline(args) -> int:
     d_ul = corpus.load_unlabeled_jsonl(args.unlabeled)
     part = experiments.kmeans_baseline(d_l, d_ul, cfg, embeddings=_maybe_embeddings(args))
     optics.save_partition_jsonl(part, os.path.join(args.out, "partition.jsonl"))
-    if pipeline.has_ground_truth(d_ul):
+    if metrics.has_ground_truth(d_ul):
         scores = metrics.score(d_ul, part)
         atomic_write_text(os.path.join(args.out, "scores.json"), scores.to_json() + "\n")
         print(scores.to_json())

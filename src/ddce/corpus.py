@@ -214,6 +214,8 @@ def generate_synthetic(
 
     if n_intents < 1 or rows_per_intent < 1 or dim < 1:
         raise DdceError("n_intents, rows_per_intent and dim must all be >= 1")
+    if not (np.isfinite(blob_sigma) and blob_sigma >= 0):
+        raise DdceError(f"blob_sigma must be finite and >= 0, got {blob_sigma}")
     centers = rng.normal(size=(n_intents, dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
     rows = []

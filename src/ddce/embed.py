@@ -276,6 +276,10 @@ def load_precomputed(path: str) -> EmbeddingMatrix:
         raise EmbeddingTruncatedError(
             f"{path}: payload has {len(blob) - offset} bytes, need {need}"
         )
+    if len(blob) - offset > need:
+        raise EmbeddingFormatError(
+            f"{path}: payload has {len(blob) - offset} bytes, header promises {need}"
+        )
     data = np.frombuffer(blob, dtype="<f4", count=n * d, offset=offset).reshape(n, d)
     # Checked before the cast, which warns on a signaling NaN.
     if data.size and not np.all(np.isfinite(data)):

@@ -26,7 +26,8 @@ class MissingGroundTruthError(DdceError):
 
 
 class EmbeddingFormatError(DdceError):
-    """Embedding file has a bad magic, a non-UTF-8 id or a repeated id."""
+    """Embedding file has a bad magic, a non-UTF-8 id, a repeated id or a
+    payload longer than its header promises."""
 
 
 class EmbeddingTruncatedError(DdceError):

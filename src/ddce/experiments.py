@@ -9,11 +9,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import optics
+from . import metrics, optics
 from .corpus import LabeledDataset, UnlabeledDataset, append_outliers, inner_split
 from .embed import EmbeddingMatrix, encode, train_encoder
 from .errors import DdceError
-from .pipeline import INNER_HOLDOUT, PipelineConfig, has_ground_truth, run_ddce
+from .pipeline import INNER_HOLDOUT, PipelineConfig, run_ddce
 from .util import csv_text, derive_seed, substream
 
 KMEANS_RESTARTS = 10  # seeded k-means runs per baseline; the lowest inertia wins
@@ -95,7 +95,7 @@ def _run_scores(
     """One sweep run: the consensus test score and the mean base-model test
     score. The unlabeled set must carry ground truth; that is checked
     before the pipeline runs."""
-    if not has_ground_truth(d_ul):
+    if not metrics.has_ground_truth(d_ul):
         raise DdceError("sweeps need ground truth on the unlabeled set")
     report = run_ddce(d_l, d_ul, source, cfg)
     base_mean = float(np.mean([s.score for s in report.base_test_scores]))

@@ -1,9 +1,11 @@
 """Clustering quality and outlier-awareness metrics.
 
 NMI is normalized by the geometric mean of the two entropies; ARI is the
-pair-counting index corrected for chance. The outlier label -1 is treated
-as an ordinary label by both. The combined score is the harmonic mean of
-non-outlier recall and ARI clamped at zero.
+pair-counting index corrected for chance. Both read one count matrix of
+the two labelings and treat the outlier label -1 as an ordinary label.
+Ground truth is one label array: each intent is its own class and every
+injected outlier is labelled ``OUTLIER_TRUTH_LABEL``. The combined score
+is the harmonic mean of non-outlier recall and ARI clamped at zero.
 """
 
 from __future__ import annotations
@@ -20,30 +22,25 @@ from .optics import Partition
 OUTLIER_TRUTH_LABEL = -2  # ground-truth class shared by all injected outliers
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
-    counts: np.ndarray
-    row_totals: np.ndarray
-    col_totals: np.ndarray
-    n: int
+def _contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """int64 count matrix of two equal-length label arrays: one row per
+    distinct label of ``a``, one column per distinct label of ``b``."""
+    a_vals, a_idx = np.unique(a, return_inverse=True)
+    b_vals, b_idx = np.unique(b, return_inverse=True)
+    counts = np.zeros((len(a_vals), len(b_vals)), dtype=np.int64)
+    np.add.at(counts, (a_idx, b_idx), 1)
+    return counts
 
-    @staticmethod
-    def from_labels(a: np.ndarray, b: np.ndarray) -> "ContingencyTable":
-        a_vals, a_idx = np.unique(a, return_inverse=True)
-        b_vals, b_idx = np.unique(b, return_inverse=True)
-        counts = np.zeros((len(a_vals), len(b_vals)), dtype=np.int64)
-        np.add.at(counts, (a_idx, b_idx), 1)
-        return ContingencyTable(
-            counts=counts,
-            row_totals=counts.sum(axis=1),
-            col_totals=counts.sum(axis=0),
-            n=int(len(a)),
-        )
 
-    def same_grouping(self) -> bool:
-        """True when both labelings induce the same grouping: every label
-        of either side meets exactly one label of the other."""
-        return np.count_nonzero(self.counts) == self.counts.shape[0] == self.counts.shape[1]
+def _same_grouping(counts: np.ndarray) -> bool:
+    """True when both labelings induce the same grouping: every label of
+    either side meets exactly one label of the other."""
+    return np.count_nonzero(counts) == counts.shape[0] == counts.shape[1]
+
+
+def _pairs(counts: np.ndarray) -> int:
+    """Sum of C(v, 2) over the counts, as an exact Python int."""
+    return int((counts * (counts - 1)).sum()) // 2
 
 
 def _require_aligned(p: Partition, q: Partition) -> None:
@@ -65,18 +62,18 @@ def nmi_labels(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b)
     if len(a) != len(b):
         raise AlignmentError(f"label arrays differ in length: {len(a)} vs {len(b)}")
-    table = ContingencyTable.from_labels(a, b)
-    if table.same_grouping():
+    counts = _contingency(a, b)
+    if _same_grouping(counts):
         return 1.0
-    ha = _entropy(table.row_totals, table.n)
-    hb = _entropy(table.col_totals, table.n)
+    n = len(a)
+    rows, cols = counts.sum(axis=1), counts.sum(axis=0)
+    ha, hb = _entropy(rows, n), _entropy(cols, n)
     if ha == 0.0 or hb == 0.0:
         return 0.0
     info = 0.0
-    n = table.n
-    for i, j in zip(*np.nonzero(table.counts)):
-        nij = int(table.counts[i, j])
-        info += (nij / n) * log(nij * n / (int(table.row_totals[i]) * int(table.col_totals[j])))
+    i, j = np.nonzero(counts)
+    for nij, ni, nj in zip(counts[i, j].tolist(), rows[i].tolist(), cols[j].tolist()):
+        info += (nij / n) * log(nij * n / (ni * nj))
     return min(1.0, max(0.0, info / sqrt(ha * hb)))
 
 
@@ -94,15 +91,14 @@ def ari_labels(truth: np.ndarray, pred: np.ndarray) -> float:
         raise AlignmentError(f"label arrays differ in length: {len(truth)} vs {len(pred)}")
     if len(truth) < 2:
         raise DdceError(f"ARI needs at least 2 samples, got {len(truth)}")
-    table = ContingencyTable.from_labels(truth, pred)
-    index = sum(comb(int(v), 2) for v in table.counts.flat if v >= 2)
-    sum_a = sum(comb(int(v), 2) for v in table.row_totals)
-    sum_b = sum(comb(int(v), 2) for v in table.col_totals)
-    pairs = comb(table.n, 2)
-    expected = sum_a * sum_b / pairs
+    counts = _contingency(truth, pred)
+    index = _pairs(counts)
+    sum_a = _pairs(counts.sum(axis=1))
+    sum_b = _pairs(counts.sum(axis=0))
+    expected = sum_a * sum_b / comb(len(truth), 2)
     maximum = (sum_a + sum_b) / 2.0
     if maximum == expected:
-        return 1.0 if table.same_grouping() else 0.0
+        return 1.0 if _same_grouping(counts) else 0.0
     return (index - expected) / (maximum - expected)
 
 
@@ -111,7 +107,7 @@ def ari(truth: Partition, pred: Partition) -> float:
     return ari_labels(truth.labels, pred.labels)
 
 
-def nonoutlier_recall(truth_outlier_flags: list[bool], pred: Partition) -> float:
+def nonoutlier_recall(truth_outlier_flags: np.ndarray | list[bool], pred: Partition) -> float:
     """Fraction of true non-outliers assigned to some cluster; vacuously 1.0
     when every sample is a true outlier."""
     if len(truth_outlier_flags) != pred.n:
@@ -150,13 +146,11 @@ def harmonic_score(score_c: float, score_ari: float) -> float:
     return 2.0 * a * b / (a + b)
 
 
-def ground_truth_labels(d_truth, pred_ids: list[str]) -> tuple[np.ndarray, list[bool]]:
+def ground_truth_labels(d_truth, pred_ids: list[str]) -> np.ndarray:
     """Ground-truth label array aligned to ``pred_ids``: each intent is its
-    own class, every injected outlier shares one class. Also returns the
-    per-sample outlier flags."""
+    own class, every injected outlier is ``OUTLIER_TRUTH_LABEL``."""
     by_id = {r.id: r for r in d_truth.rows}
     labels = np.empty(len(pred_ids), dtype=int)
-    flags = []
     intent_ids: dict[str, int] = {}
     for i, rid in enumerate(pred_ids):
         row = by_id.get(rid)
@@ -164,21 +158,25 @@ def ground_truth_labels(d_truth, pred_ids: list[str]) -> tuple[np.ndarray, list[
             raise AlignmentError(f"predicted id {rid!r} not present in ground truth")
         if row.is_injected_outlier:
             labels[i] = OUTLIER_TRUTH_LABEL
-            flags.append(True)
         elif row.intent is not None:
             labels[i] = intent_ids.setdefault(row.intent, len(intent_ids))
-            flags.append(False)
         else:
             raise MissingGroundTruthError(
                 f"row {rid!r} has neither an intent nor an outlier flag"
             )
-    return labels, flags
+    return labels
+
+
+def has_ground_truth(d) -> bool:
+    """True when :func:`score` can score a partition of ``d``'s rows: at
+    least the two samples ARI needs, each with an intent or an outlier flag."""
+    return len(d.rows) >= 2 and all(r.intent is not None or r.is_injected_outlier for r in d.rows)
 
 
 def score(d_truth, pred: Partition) -> Scores:
     """Score a predicted partition against a dataset carrying ground truth;
     the partition must hold exactly one row per truth row."""
-    truth = ground_truth_labels(d_truth, pred.ids)
+    truth_labels = ground_truth_labels(d_truth, pred.ids)
     # Every partition id is a truth id, so distinct ids as many as truth
     # rows make it one partition row per truth row.
     distinct = len(set(pred.ids))
@@ -187,13 +185,13 @@ def score(d_truth, pred: Partition) -> Scores:
             f"expected one partition row per truth row, got {pred.n} rows with "
             f"{distinct} distinct ids for {len(d_truth.rows)} truth rows"
         )
-    return score_against(*truth, pred)
+    return score_against(truth_labels, pred)
 
 
-def score_against(truth_labels: np.ndarray, truth_outlier_flags, pred: Partition) -> Scores:
+def score_against(truth_labels: np.ndarray, pred: Partition) -> Scores:
     """:func:`score` on ground truth already built by
     :func:`ground_truth_labels` for ``pred.ids``, so a caller scoring many
     partitions of the same rows builds it once."""
-    score_c = nonoutlier_recall(truth_outlier_flags, pred)
+    score_c = nonoutlier_recall(truth_labels == OUTLIER_TRUTH_LABEL, pred)
     score_ari = ari_labels(truth_labels, np.asarray(pred.labels))
     return Scores.from_parts(score_c, score_ari)

@@ -148,12 +148,6 @@ def infer(
     )
 
 
-def has_ground_truth(d_ul: UnlabeledDataset) -> bool:
-    return d_ul.M >= 2 and all(
-        r.intent is not None or r.is_injected_outlier for r in d_ul.rows
-    )
-
-
 def run_ddce(
     d_l: LabeledDataset,
     d_ul: UnlabeledDataset,
@@ -174,7 +168,7 @@ def run_ddce(
     part = optics.filter_small_clusters(raw, cfg.s_min)
     base_scores = None
     cons_scores = None
-    if has_ground_truth(d_ul):
+    if metrics.has_ground_truth(d_ul):
         base_scores = [metrics.score(d_ul, p) for p in ts.partitions]
         cons_scores = metrics.score(d_ul, part)
     return RunReport(

@@ -33,6 +33,8 @@ class SearchSpace:
             raise DdceError(f"empty min_samples range {self.min_samples_range}")
         if self.min_samples_range[0] < 2:
             raise DdceError("min_samples must be >= 2")
+        if self.min_samples_range[1] >= 2**63:  # the sampler draws int64
+            raise DdceError(f"min_samples_range must end below 2**63, got {self.min_samples_range}")
         if self.n_trials < 1:
             raise EmptySearchError(f"n_trials must be >= 1, got {self.n_trials}")
 
@@ -89,19 +91,15 @@ def random_search(
     truth_ids = [r.id for r in truth.rows]
     if e_hs.row_ids != truth_ids:
         raise AlignmentError("embedding rows are not aligned with the validation rows")
-    truth_labels, flags = metrics.ground_truth_labels(truth, e_hs.row_ids)
+    truth_labels = metrics.ground_truth_labels(truth, e_hs.row_ids)
     D = optics.pairwise_distances(e_hs.data, metric)
     sorted_d = np.sort(D, axis=1)
     trials = []
-    best: Trial | None = None
     for t in range(space.n_trials):
         params = sample_params(space, substream(seed, "trial", t))
         part = optics.cluster_with_distances(D, e_hs.row_ids, params, s_min, sorted_d=sorted_d)
-        scores = metrics.score_against(truth_labels, flags, part)
-        trial = Trial(index=t, params=params, scores=scores)
-        trials.append(trial)
-        if best is None or trial.scores.score > best.scores.score:
-            best = trial
+        trials.append(Trial(t, params, metrics.score_against(truth_labels, part)))
+    best = max(trials, key=lambda trial: trial.scores.score)  # first maximum: earliest on ties
     return SearchResult(best_params=best.params, best_scores=best.scores, trials=trials)
 
 

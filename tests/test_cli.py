@@ -258,6 +258,7 @@ class TestMalformedInputs:
         ({"search_space": {"max_eps_range": [-1.0, 0.5]}}, "max_eps_range"),
         ({"search_space": {"n_trials": 0}}, "n_trials"),
         ({"train_cfg": {"feature_dim": 8}}, "feature_dim"),
+        ({"search_space": {"min_samples_range": [2, 2**63]}}, "min_samples_range"),
     ])
     def test_out_of_range_config_fails_at_load(self, workspace, tmp_path, capsys, config, key):
         """Rejected before any base model trains, with the key named."""
@@ -273,6 +274,7 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("row_id, payload", [
         (b"\xff", struct.pack("<2f", 1, 0)),  # id not UTF-8
         (b"a", struct.pack("<2I", 0x7F800001, 0)),  # signaling NaN
+        (b"a", struct.pack("<3f", 0, 1, 2)),  # payload longer than the 1x2 header
     ])
     def test_bad_emb1(self, tmp_path, capsys, row_id, payload):
         path = str(tmp_path / "bad.emb1")
@@ -303,6 +305,14 @@ class TestMalformedInputs:
                    "--out", str(out))
         assert "--max-per-intent" in self._assert_one_error(code, capsys)
         assert not os.path.exists(out / "artifacts.json")
+
+    @pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+    def test_synth_bad_sigma(self, tmp_path, capsys, sigma):
+        out = tmp_path / "x"
+        code = run("synth", "--intents", "2", "--per-intent", "3", "--sigma", sigma,
+                   "--out", str(out))
+        assert "blob_sigma" in self._assert_one_error(code, capsys)
+        assert not os.path.exists(out / "labeled.jsonl")
 
     @staticmethod
     def _assert_one_error(code, capsys):

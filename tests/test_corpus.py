@@ -177,6 +177,11 @@ class TestGenerateSynthetic:
             block = oracle.data[i * 4 : (i + 1) * 4]
             assert np.allclose(block, block[0])
 
+    @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(DdceError, match="blob_sigma"):
+            generate_synthetic(3, 4, 8, sigma, seeded())
+
     def test_byte_identical_given_seed(self):
         d1, o1 = generate_synthetic(4, 5, 8, 0.2, seeded(3))
         d2, o2 = generate_synthetic(4, 5, 8, 0.2, seeded(3))

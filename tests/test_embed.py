@@ -202,6 +202,17 @@ class TestEmb1Format:
         with pytest.raises(EmbeddingTruncatedError):
             load_precomputed(str(path))
 
+    def test_payload_longer_than_header(self, tmp_path):
+        import struct
+
+        header = b"EMB1" + struct.pack("<II", 3, 2) + b"".join(
+            struct.pack("<H", 1) + c for c in (b"a", b"b", b"c"))
+        path = tmp_path / "long.emb1"
+        path.write_bytes(header + struct.pack("<9f", *range(9)))
+        with pytest.raises(EmbeddingFormatError) as exc:
+            load_precomputed(str(path))
+        assert str(exc.value) == f"{path}: payload has 36 bytes, header promises 24"
+
     def test_nan_payload(self, tmp_path):
         import struct
 

@@ -10,6 +10,7 @@ from ddce.metrics import (
     ari,
     ari_labels,
     harmonic_score,
+    has_ground_truth,
     nmi,
     nmi_labels,
     nonoutlier_recall,
@@ -178,3 +179,48 @@ class TestScoresAgainstLabeledGroundTruth:
         d = LabeledDataset(rows=rows)
         s = score(d, part([0, 0, 1], ids=["a", "b", "c"]))
         assert s.score == 1.0
+
+
+class TestScoreAtSearchScale:
+    """Seeded battery at the sizes a search scores: up to 200 samples, up to
+    25 intents plus injected outliers, up to 40 predicted clusters and -1."""
+
+    @staticmethod
+    def _case(seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(50, 201))
+        intents = rng.integers(0, int(rng.integers(1, 26)), size=n)
+        outlier = rng.random(n) < rng.uniform(0.0, 0.3)
+        outlier[rng.integers(n)] = True
+        rows = [Utterance(id=f"s{i}", text="t", intent=None if outlier[i] else f"i{intents[i]}",
+                          is_injected_outlier=bool(outlier[i])) for i in range(n)]
+        pred = rng.integers(-1, int(rng.integers(1, 41)), size=n)
+        return UnlabeledDataset(rows=rows), part(pred)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_oracles(self, seed):
+        d, p = self._case(seed)
+        s = score(d, p)
+        truth = ["outlier" if r.is_injected_outlier else r.intent for r in d.rows]
+        assert abs(s.score_ari - ref_ari(truth, p.labels.tolist())) <= 1e-12
+        true_clusters = [c for r, c in zip(d.rows, p.labels.tolist()) if not r.is_injected_outlier]
+        assert s.score_c == sum(c != -1 for c in true_clusters) / len(true_clusters)
+
+
+class TestHasGroundTruth:
+    def test_one_row_is_not_enough(self):
+        d = UnlabeledDataset(rows=[Utterance(id="s0", text="t", intent="a")])
+        assert not has_ground_truth(d)
+
+    def test_row_without_intent_or_flag(self):
+        rows = [
+            Utterance(id="s0", text="t", intent="a"),
+            Utterance(id="s1", text="t", is_injected_outlier=True),
+            Utterance(id="s2", text="t"),
+        ]
+        assert not has_ground_truth(UnlabeledDataset(rows=rows))
+        assert has_ground_truth(UnlabeledDataset(rows=rows[:2]))
+
+    def test_labeled_set(self):
+        rows = [Utterance(id="a", text="x", intent="i1"), Utterance(id="b", text="x", intent="i2")]
+        assert has_ground_truth(LabeledDataset(rows=rows))

@@ -337,6 +337,7 @@ class TestConfigSerialization:
         ({"outlier_ratio": float("nan")}, "outlier_ratio"),
         ({"search_space": {"n_trials": 0}}, "n_trials"),
         ({"train_cfg": {"feature_dim": 15}}, "feature_dim"),
+        ({"search_space": {"min_samples_range": [2, 2**63]}}, "min_samples_range"),
     ])
     def test_out_of_range_values_rejected(self, obj, key):
         with pytest.raises(DdceError, match=key):

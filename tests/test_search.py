@@ -29,6 +29,12 @@ class TestSampleParams:
         for i in range(50):
             assert sample_params(space, substream(1, "trial", i)).min_samples == 5
 
+    def test_int64_upper_end(self):
+        space = SearchSpace(min_samples_range=(2, 2**63 - 1))
+        assert 2 <= sample_params(space, substream(0, "trial", 0)).min_samples < 2**63
+        with pytest.raises(DdceError, match="min_samples_range"):
+            SearchSpace(min_samples_range=(2, 2**63))
+
     def test_invalid_space_rejected(self):
         with pytest.raises(DdceError):
             SearchSpace(max_eps_range=(0.5, 0.5))
