@@ -136,47 +136,37 @@ def _cut(H: np.ndarray, labels: np.ndarray) -> int:
     return int(np.count_nonzero(np.count_nonzero(counts, axis=1) > 1))
 
 
-def _hgpa_descend(H, edges_of, k, part) -> None:
+def _hgpa_descend(H, k, part) -> None:
     """Best-improvement single-vertex moves until no move reduces the cut;
-    mutates ``part`` in place."""
+    mutates ``part`` in place.
+
+    With c the edge-by-part member counts and P(e) the number of parts
+    edge e touches, moving v from part s to d changes the cut by
+    #{e ∋ v : P(e) = 1, |e| > 1} - #{e ∋ v : P(e) = 2, c[e, s] = 1, c[e, d] > 0},
+    so every move is scored at once as an n x k array. Moves the balance
+    rule forbids (a part leaving one of n / k) score 0; the first strictly
+    best move in (vertex, part) order is taken.
+    """
     n = len(part)
-    counts = (H.T @ (part[:, None] == np.arange(k))).astype(int)
+    counts = H.T @ (part[:, None] == np.arange(k))
     sizes = np.bincount(part, minlength=k)
     target = n / k
-
-    def move_delta(v: int, dst: int) -> int:
-        src = part[v]
-        delta = 0
-        for e_idx in edges_of[v]:
-            row = counts[e_idx]
-            before = int(np.count_nonzero(row))
-            after = before
-            if row[src] == 1:
-                after -= 1
-            if row[dst] == 0:
-                after += 1
-            delta += (after > 1) - (before > 1)
-        return delta
-
+    shared = H.sum(axis=0) > 1  # edges with more than one member
     while True:
-        best = None
-        for v in range(n):
-            src = part[v]
-            if abs(sizes[src] - 1 - target) > 1:
-                continue
-            for dst in range(k):
-                if dst == src or abs(sizes[dst] + 1 - target) > 1:
-                    continue
-                delta = move_delta(v, dst)
-                if delta < 0 and (best is None or delta < best[0]):
-                    best = (delta, v, dst)
-        if best is None:
+        spans = np.count_nonzero(counts, axis=1)
+        whole = (spans == 1) & shared
+        lone = (spans == 2)[:, None] & (counts == 1)
+        delta = (H @ whole)[:, None] - (H * lone[:, part].T) @ (counts > 0)
+        can_leave = np.abs(sizes[part] - 1 - target) <= 1
+        allowed = can_leave[:, None] & (np.abs(sizes + 1 - target) <= 1)
+        allowed[np.arange(n), part] = False
+        delta[~allowed] = 0
+        v, dst = divmod(int(np.argmin(delta)), k)
+        if delta[v, dst] >= 0:
             break
-        _, v, dst = best
         src = part[v]
-        for e_idx in edges_of[v]:
-            counts[e_idx, src] -= 1
-            counts[e_idx, dst] += 1
+        counts[:, src] -= H[v]
+        counts[:, dst] += H[v]
         sizes[src] -= 1
         sizes[dst] += 1
         part[v] = dst
@@ -191,7 +181,10 @@ def hgpa(ts: PartitionSet, seed: int = 0, k: int | None = None) -> Partition:
     (keeping every part within one of n / k) until no move reduces the
     number of cut hyperedges; the lowest-cut restart wins, earliest on
     ties. Purely greedy descent can stall on symmetric mixes, hence the
-    restarts.
+    restarts. A move's change in cut has a closed form on the incidence
+    matrix: +1 for each uncut edge of the vertex with another member, -1
+    for each edge spanning two parts where the vertex is alone on its side
+    and the target is the other part.
     """
     if k is not None and k < 1:
         raise DdceError(f"hgpa needs k >= 1, got {k}")
@@ -200,13 +193,12 @@ def hgpa(ts: PartitionSet, seed: int = 0, k: int | None = None) -> Partition:
         return Partition(labels=np.empty(0, dtype=int), ids=ts.ids)
     k = min(k_target(ts) if k is None else k, n)
     H = _incidence(ts)
-    edges_of = [np.flatnonzero(row).tolist() for row in H]
     best_part = None
     best_cut = None
     for r in range(HGPA_RESTARTS):
         part = np.empty(n, dtype=int)
         part[substream(seed, "hgpa", r).permutation(n)] = np.arange(n) % k
-        _hgpa_descend(H, edges_of, k, part)
+        _hgpa_descend(H, k, part)
         cut = _cut(H, part)
         if best_cut is None or cut < best_cut:
             best_part, best_cut = part, cut

@@ -168,13 +168,16 @@ def append_outliers(d, source: UnlabeledDataset, ratio: float, pick):
     rows untouched."""
     if not 0.0 <= ratio < math.inf:
         raise DdceError(f"outlier ratio must be finite and nonnegative, got {ratio}")
-    n_inject = round_half_up(ratio * len(d.rows))
+    # round_half_up(wanted) > source.M exactly when wanted >= source.M + 0.5;
+    # compared unrounded, since a huge finite ratio can make wanted inf.
+    wanted = ratio * len(d.rows)
+    if wanted >= source.M + 0.5:
+        raise InsufficientOutlierSourceError(
+            f"outlier source has {source.M} rows, need {ratio:g} x {len(d.rows)} = {wanted:g}"
+        )
+    n_inject = round_half_up(wanted)
     if n_inject == 0:
         return d
-    if source.M < n_inject:
-        raise InsufficientOutlierSourceError(
-            f"outlier source has {source.M} rows, need {n_inject}"
-        )
     existing = {r.id for r in d.rows}
     injected = []
     for i in pick(n_inject):
@@ -296,16 +299,22 @@ def save_jsonl(dataset, path: str) -> None:
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def _read_rows(path: str) -> list[Utterance]:
-    return [_obj_to_row(obj, f"{path}:{lineno}") for lineno, obj in read_jsonl(path)]
+def _read_rows(path: str, labeled: bool = False) -> list[Utterance]:
+    rows = []
+    for lineno, obj in read_jsonl(path):
+        row = _obj_to_row(obj, f"{path}:{lineno}")
+        if labeled and row.intent is None:
+            raise DdceError(f"{path}:{lineno}: labeled row {row.id!r} has no intent")
+        rows.append(row)
+    return rows
 
 
 def load_labeled_jsonl(
     path: str, max_per_intent: int | None = 50, rng: np.random.Generator | None = None
 ) -> LabeledDataset:
     """Load a labeled dataset, downsampling each intent to ``max_per_intent``
-    rows (pass None to disable the cap)."""
-    d = LabeledDataset(rows=_read_rows(path))
+    rows (pass None to disable the cap). Every row needs an intent."""
+    d = LabeledDataset(rows=_read_rows(path, labeled=True))
     if max_per_intent is not None:
         d = cap_per_intent(d, max_per_intent, rng)
     return d

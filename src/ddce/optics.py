@@ -99,12 +99,16 @@ def pairwise_distances(x: np.ndarray, metric: str) -> np.ndarray:
     return D
 
 
-def _ordering_from_distances(
+def compute_ordering(
     D: np.ndarray,
     ids: list[str],
     params: OpticsParams,
     sorted_d: np.ndarray | None = None,
 ) -> ReachabilityOrdering:
+    """Standard OPTICS on a distance matrix, optionally with its row-sorted
+    copy: expand from each unprocessed point (index order), repeatedly
+    processing the unreached point with the smallest tentative
+    reachability, ties broken by smallest index."""
     n = D.shape[0]
     # Core distance counts the point itself among its neighbors.
     if params.min_samples > n:
@@ -118,12 +122,6 @@ def _ordering_from_distances(
 
     reach = np.full(n, np.inf)
     pred = np.full(n, -1, dtype=int)
-    if not np.isfinite(core).any():
-        # No point can reach another: each one starts its own expansion.
-        return ReachabilityOrdering(
-            order=np.arange(n), reachability=reach, core_distance=core,
-            predecessor=pred, ids=list(ids),
-        )
     inf = np.inf
     core_list = core.tolist()
     max_eps = params.max_eps
@@ -162,19 +160,9 @@ def _ordering_from_distances(
             open_reach[current] = inf
             n_open -= 1
     return ReachabilityOrdering(
-        order=np.array(order), reachability=reach, core_distance=core, predecessor=pred,
-        ids=list(ids),
+        order=np.array(order, dtype=int), reachability=reach, core_distance=core,
+        predecessor=pred, ids=list(ids),
     )
-
-
-def compute_ordering(
-    x: EmbeddingMatrix, params: OpticsParams, metric: str = "cosine"
-) -> ReachabilityOrdering:
-    """Standard OPTICS: expand from each unprocessed point (index order),
-    repeatedly processing the unreached point with the smallest tentative
-    reachability, ties broken by smallest index."""
-    D = pairwise_distances(x.data, metric)
-    return _ordering_from_distances(D, x.row_ids, params)
 
 
 def _extend_region(steep: np.ndarray, xward: np.ndarray, start: int, min_samples: int) -> int:
@@ -313,7 +301,7 @@ def cluster_with_distances(
 ) -> Partition:
     """As :func:`cluster` but on a precomputed distance matrix, optionally
     with its row-sorted copy; lets a hyperparameter search reuse both."""
-    ordering = _ordering_from_distances(D, ids, params, sorted_d=sorted_d)
+    ordering = compute_ordering(D, ids, params, sorted_d=sorted_d)
     extracted = extract_xi_clusters(ordering, params.xi, params.min_samples)
     return filter_small_clusters(extracted, s_min)
 

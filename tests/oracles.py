@@ -198,6 +198,50 @@ def hyperedge_cut_value(edges, labels) -> int:
     return cut
 
 
+def ref_hgpa(labelsets, seed: int = 0, k: int | None = None) -> list[int]:
+    """Greedy balanced min-hyperedge-cut from the same eight seeded starts
+    as the package, scoring each single-vertex move by recounting the whole
+    cut after it. Per descent step the first strictly best move in
+    (vertex, part) order is taken; moves leaving a part size more than one
+    from n / k are skipped. The lowest-cut restart wins, earliest on ties."""
+    from ddce.util import substream
+
+    n = len(labelsets[0])
+    if k is None:
+        counts = [len({lab for lab in labels if lab != -1}) for labels in labelsets]
+        k = max(1, math.floor(float(np.median(counts)) + 0.5))
+    k = min(k, n)
+    edges = ref_hyperedges(labelsets)
+    target = n / k
+    best, best_cut = None, None
+    for restart in range(8):
+        part = [0] * n
+        for slot, v in enumerate(substream(seed, "hgpa", restart).permutation(n).tolist()):
+            part[v] = slot % k
+        while True:
+            sizes = Counter(part)
+            cut = hyperedge_cut_value(edges, part)
+            move = None
+            for v in range(n):
+                src = part[v]
+                for dst in range(k):
+                    balanced = abs(sizes[src] - 1 - target) <= 1 and abs(sizes[dst] + 1 - target) <= 1
+                    if dst == src or not balanced:
+                        continue
+                    delta = hyperedge_cut_value(edges, part[:v] + [dst] + part[v + 1:]) - cut
+                    if delta < 0 and (move is None or delta < move[0]):
+                        move = (delta, v, dst)
+            if move is None:
+                break
+            part[move[1]] = move[2]
+        cut = hyperedge_cut_value(edges, part)
+        if best_cut is None or cut < best_cut:
+            best, best_cut = part, cut
+        if best_cut == 0:
+            break
+    return ref_canonicalize_labels(best)
+
+
 # ---------------------------------------------------------------------------
 # Pair-loop co-association
 

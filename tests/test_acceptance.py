@@ -14,7 +14,7 @@ from ddce.corpus import generate_synthetic, inner_split, save_jsonl
 from ddce.embed import EmbeddingMatrix, TrainConfig, loss_and_grads, train_encoder
 from ddce.experiments import sweep_outlier_ratio
 from ddce.metrics import ari_labels, nmi, nmi_labels
-from ddce.optics import OpticsParams, Partition, cluster, compute_ordering
+from ddce.optics import OpticsParams, Partition, cluster, compute_ordering, pairwise_distances
 from ddce.pipeline import PipelineConfig, run_ddce
 from ddce.search import SearchSpace, sample_params
 from ddce.util import substream
@@ -64,8 +64,8 @@ def test_criterion_2_optics_oracle():
             max_eps=float(rng.uniform(0.2, 3.0)), xi=0.05,
             min_samples=int(rng.integers(2, 8)),
         )
-        m = EmbeddingMatrix(data=data, row_ids=[f"p{i}" for i in range(n)])
-        got = compute_ordering(m, params, metric)
+        ids = [f"p{i}" for i in range(n)]
+        got = compute_ordering(pairwise_distances(data, metric), ids, params)
         order, reach, core, _ = ref_optics(data, params.max_eps, params.min_samples, metric)
         if (got.order.tolist() != order or got.reachability.tolist() != reach
                 or got.core_distance.tolist() != core):

@@ -195,6 +195,38 @@ class TestMalformedInputs:
                    "--config", workspace["config"], "--out", str(tmp_path / "x"))
         self._assert_one_error(code, capsys)
 
+    @pytest.mark.parametrize("command, flag, other", [
+        ("train", "--outlier-source", "source"),
+        ("baseline-kmeans", "--unlabeled", "unlabeled"),
+    ])
+    def test_labeled_row_without_intent(self, workspace, tmp_path, capsys, command, flag, other):
+        labeled = str(tmp_path / "labeled_bad.jsonl")
+        with open(labeled, "w") as fh:
+            fh.write(open(workspace["labeled"]).read())
+            fh.write(json.dumps({"id": "odd-1", "text": "x", "outlier": True}) + "\n")
+        code = run(command, "--labeled", labeled, flag, workspace[other],
+                   "--config", workspace["config"], "--out", str(tmp_path / "x"))
+        assert f"{labeled}:" in self._assert_one_error(code, capsys)
+
+    @pytest.mark.parametrize("command", ["inject", "train", "sweep-outliers"])
+    def test_huge_outlier_ratio(self, workspace, tmp_path, capsys, command):
+        """A finite ratio whose row count overflows is short of source rows."""
+        config = str(tmp_path / "huge.json")
+        with open(config, "w") as fh:
+            json.dump({"k_models": 2, "outlier_ratio": 1e308}, fh)
+        args = {
+            "inject": ("--data", workspace["unlabeled"], "--source", workspace["source"],
+                       "--ratio", "1e308"),
+            "train": ("--labeled", workspace["labeled"], "--outlier-source", workspace["source"],
+                      "--config", config),
+            "sweep-outliers": ("--labeled", workspace["labeled"],
+                               "--unlabeled", workspace["unlabeled_clean"],
+                               "--outlier-source", workspace["source"], "--ratios", "1e308",
+                               "--config", workspace["config"]),
+        }[command]
+        code = run(command, *args, "--out", str(tmp_path / "x"))
+        assert "outlier source has" in self._assert_one_error(code, capsys)
+
     @pytest.mark.parametrize("truth_row, pred_row", [
         ({"id": "b", "text": "t", "intent": None, "outlier": "no"}, {"id": "b", "cluster": 0}),
         ({"id": "b", "text": "t", "intent": "x"}, [1]),

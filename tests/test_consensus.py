@@ -28,6 +28,7 @@ from oracles import (
     hyperedge_cut_value,
     partitions_into_k,
     ref_co_association,
+    ref_hgpa,
     ref_hyperedges,
 )
 
@@ -275,6 +276,17 @@ class TestIncidenceOracles:
         rng = np.random.default_rng(1000 + seed)
         for labels in (rng.integers(-1, 4, size=ts.n), hgpa(ts, seed=seed).labels):
             assert hyperedge_cut(ts, labels) == hyperedge_cut_value(edges, labels.tolist())
+
+
+class TestHgpaOracle:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_brute_force_cut_oracle(self, seed):
+        """Labels equal the oracle's at the default k, at 1 and at a random k."""
+        labelsets = random_labelsets(seed)
+        ts = TS(labelsets)
+        random_k = int(np.random.default_rng(2000 + seed).integers(1, ts.n + 1))
+        for k in (None, 1, random_k):
+            assert hgpa(ts, seed=seed, k=k).labels.tolist() == ref_hgpa(labelsets, seed, k)
 
 
 class TestChm:

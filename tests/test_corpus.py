@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -143,6 +144,20 @@ class TestInjectOutliers:
         with pytest.raises(InsufficientOutlierSourceError, match="60"):
             inject_outliers(d, outlier_source(n=10), 1.0, seeded())
 
+    @pytest.mark.parametrize("ratio", [1e308, 1e300, 10.0 / 3])
+    def test_ratio_beyond_source_rejected_before_rounding(self, ratio):
+        # 1e308 * 60 overflows to inf; 10/3 * 60 is 200, one row more than the source.
+        d = make_labeled({"a": 30, "b": 30})
+        with pytest.raises(InsufficientOutlierSourceError, match="199 rows"):
+            inject_outliers(d, outlier_source(n=199), ratio, seeded())
+
+    def test_half_row_rounds_up_against_source(self):
+        # 0.5 x 5 = 2.5 rounds up to 3: enough with a 3-row source, one short with 2.
+        d = make_labeled({"a": 5})
+        assert inject_outliers(d, outlier_source(n=3), 0.5, seeded()).N == 8
+        with pytest.raises(InsufficientOutlierSourceError):
+            inject_outliers(d, outlier_source(n=2), 0.5, seeded())
+
     def test_original_rows_untouched_and_flagged(self):
         d = make_labeled({"a": 4, "b": 4})
         out = inject_outliers(d, outlier_source(), 0.5, seeded())
@@ -215,11 +230,25 @@ class TestCapAndJsonl:
 
     def test_jsonl_roundtrip(self, tmp_path):
         d = make_labeled({"a": 3, "b": 2})
-        d = inject_outliers(d, outlier_source(), 0.4, seeded())
         path = str(tmp_path / "d.jsonl")
         save_jsonl(d, path)
-        loaded = load_labeled_jsonl(path, max_per_intent=None)
-        assert loaded == d
+        assert load_labeled_jsonl(path, max_per_intent=None) == d
+        # Injected outliers carry no intent, so they round-trip as unlabeled rows.
+        d = inject_outliers(d.to_unlabeled(), outlier_source(), 0.4, seeded())
+        save_jsonl(d, path)
+        assert load_unlabeled_jsonl(path) == d
+
+    @pytest.mark.parametrize("extra", [
+        {"id": "odd-1", "text": "x", "outlier": True},
+        {"id": "odd-1", "text": "x", "intent": None},
+    ])
+    def test_labeled_row_without_intent_rejected(self, tmp_path, extra):
+        path = str(tmp_path / "d.jsonl")
+        save_jsonl(make_labeled({"a": 2}), path)
+        with open(path, "a") as fh:
+            fh.write(json.dumps(extra) + "\n")
+        with pytest.raises(DdceError, match=re.escape(f"{path}:3: labeled row 'odd-1'")):
+            load_labeled_jsonl(path)
 
     def test_jsonl_format(self, tmp_path):
         d = make_labeled({"a": 1})

@@ -8,7 +8,6 @@ from ddce.optics import (
     OpticsParams,
     Partition,
     ReachabilityOrdering,
-    _ordering_from_distances,
     canonicalize_labels,
     cluster,
     cluster_with_distances,
@@ -29,26 +28,39 @@ def emb(data):
     return EmbeddingMatrix(data=data, row_ids=[f"p{i}" for i in range(len(data))])
 
 
+def ordering_of(data, params, metric="cosine"):
+    data = np.asarray(data, dtype=float)
+    ids = [f"p{i}" for i in range(len(data))]
+    return compute_ordering(pairwise_distances(data, metric), ids, params)
+
+
 def assert_matches_reference(data, params, metric):
-    got = compute_ordering(emb(data), params, metric)
+    """compute_ordering on the distance matrix, with and without its
+    row-sorted copy, equals the reference bit for bit; returns the result."""
+    data = np.asarray(data, dtype=float)
+    D = pairwise_distances(data, metric)
     order, reach, core, pred = ref_optics(data, params.max_eps, params.min_samples, metric)
-    assert got.order.tolist() == order
-    assert got.reachability.tolist() == reach
-    assert got.core_distance.tolist() == core
-    assert got.predecessor.tolist() == pred
+    ids = [f"p{i}" for i in range(len(data))]
+    for sorted_d in (None, np.sort(D, axis=1)):
+        got = compute_ordering(D, ids, params, sorted_d=sorted_d)
+        assert got.order.tolist() == order
+        assert got.reachability.tolist() == reach
+        assert got.core_distance.tolist() == core
+        assert got.predecessor.tolist() == pred
+    return got
 
 
 class TestComputeOrdering:
     def test_not_enough_neighbors_all_infinite(self):
         data = np.random.default_rng(0).normal(size=(5, 2))
-        got = compute_ordering(emb(data), OpticsParams(10.0, 0.05, 6), "euclidean")
+        got = ordering_of(data, OpticsParams(10.0, 0.05, 6), "euclidean")
         assert np.all(np.isinf(got.core_distance))
         assert np.all(np.isinf(got.reachability))
         assert got.order.tolist() == [0, 1, 2, 3, 4]
 
     def test_duplicates_have_zero_core_distance(self):
         data = np.tile([[1.0, 2.0]], (4, 1))
-        got = compute_ordering(emb(data), OpticsParams(1.0, 0.05, 4), "euclidean")
+        got = ordering_of(data, OpticsParams(1.0, 0.05, 4), "euclidean")
         assert np.all(got.core_distance == 0.0)
 
     def test_two_blob_fixture_matches_reference(self):
@@ -74,7 +86,7 @@ class TestComputeOrdering:
         assert_matches_reference(data, params, metric)
 
     def test_empty_input(self):
-        got = compute_ordering(emb(np.empty((0, 3))), OpticsParams(1.0, 0.1, 2))
+        got = ordering_of(np.empty((0, 3)), OpticsParams(1.0, 0.1, 2))
         assert got.order.size == 0
         part = extract_xi_clusters(got, 0.1, 2)
         assert part.labels.dtype == np.int64 and part.labels.size == 0
@@ -82,7 +94,7 @@ class TestComputeOrdering:
     def test_reachability_consistent_with_predecessor(self):
         data = np.random.default_rng(5).normal(size=(40, 3))
         params = OpticsParams(2.0, 0.05, 4)
-        got = compute_ordering(emb(data), params, "euclidean")
+        got = ordering_of(data, params, "euclidean")
         D = pairwise_distances(data, "euclidean")
         for i in range(40):
             p = got.predecessor[i]
@@ -94,9 +106,9 @@ class TestComputeOrdering:
         rng = np.random.default_rng(8)
         data = rng.normal(size=(30, 2))
         params = OpticsParams(2.0, 0.05, 3)
-        base = compute_ordering(emb(data), params, "euclidean")
+        base = ordering_of(data, params, "euclidean")
         perm = rng.permutation(30)
-        permuted = compute_ordering(emb(data[perm]), params, "euclidean")
+        permuted = ordering_of(data[perm], params, "euclidean")
         assert np.array_equal(permuted.core_distance, base.core_distance[perm])
 
     def test_clusters_stable_under_permutation(self):
@@ -111,22 +123,6 @@ class TestComputeOrdering:
         restored = np.empty(len(data), dtype=int)
         restored[perm] = permuted.labels
         assert ari_labels(base.labels, restored) == 1.0
-
-
-def assert_distances_ordering_matches(data, params, metric):
-    """_ordering_from_distances on the distance matrix, with and without its
-    row-sorted copy, equals the reference bit for bit; returns the result."""
-    data = np.asarray(data, dtype=float)
-    D = pairwise_distances(data, metric)
-    order, reach, core, pred = ref_optics(data, params.max_eps, params.min_samples, metric)
-    ids = [f"p{i}" for i in range(len(data))]
-    for sorted_d in (None, np.sort(D, axis=1)):
-        got = _ordering_from_distances(D, ids, params, sorted_d=sorted_d)
-        assert got.order.tolist() == order
-        assert got.reachability.tolist() == reach
-        assert got.core_distance.tolist() == core
-        assert got.predecessor.tolist() == pred
-    return got
 
 
 class TestOrderingFromDistances:
@@ -145,7 +141,7 @@ class TestOrderingFromDistances:
             xi=0.05,
             min_samples=int(rng.integers(2, 25)),
         )
-        assert_distances_ordering_matches(data, params, metric)
+        assert_matches_reference(data, params, metric)
 
     @pytest.mark.parametrize("params", [
         OpticsParams(max_eps=10.0, xi=0.05, min_samples=9),  # more than n
@@ -153,13 +149,13 @@ class TestOrderingFromDistances:
     ])
     def test_no_finite_core_gives_identity_order(self, params):
         data = np.random.default_rng(1).normal(size=(8, 2))
-        got = assert_distances_ordering_matches(data, params, "euclidean")
+        got = assert_matches_reference(data, params, "euclidean")
         assert got.order.tolist() == list(range(8))
         assert np.all(np.isinf(got.core_distance)) and np.all(got.predecessor == -1)
 
     def test_exactly_one_finite_core(self):
         data = [[0.0], [1.0], [2.0], [10.0], [20.0], [30.0]]
-        got = assert_distances_ordering_matches(data, OpticsParams(1.5, 0.05, 3), "euclidean")
+        got = assert_matches_reference(data, OpticsParams(1.5, 0.05, 3), "euclidean")
         assert np.isfinite(got.core_distance).tolist() == [False, True, False, False, False, False]
         assert got.order.tolist() == [0, 1, 2, 3, 4, 5]
         assert got.predecessor.tolist() == [-1, -1, 1, -1, -1, -1]
@@ -169,13 +165,13 @@ class TestOrderingFromDistances:
         # before, between and after them: the frontier runs dry after each
         # group and the next expansion starts from the smallest open index.
         data = [[50.0], [0.0], [0.1], [0.2], [70.0], [5.0], [5.1], [5.2], [90.0]]
-        got = assert_distances_ordering_matches(data, OpticsParams(0.5, 0.05, 2), "euclidean")
+        got = assert_matches_reference(data, OpticsParams(0.5, 0.05, 2), "euclidean")
         assert got.order.tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 8]
         assert got.predecessor.tolist() == [-1, -1, 1, 2, -1, -1, 5, 6, -1]
 
     def test_tied_duplicates_break_by_smallest_index(self):
         data = [[1.0, 1.0]] * 3 + [[0.0, 0.0]] * 3 + [[1.0, 1.0]] * 2
-        got = assert_distances_ordering_matches(data, OpticsParams(0.5, 0.05, 2), "euclidean")
+        got = assert_matches_reference(data, OpticsParams(0.5, 0.05, 2), "euclidean")
         assert got.order.tolist() == [0, 1, 2, 6, 7, 3, 4, 5]
         assert np.all(got.core_distance == 0.0)
 
@@ -204,7 +200,7 @@ class TestXiExtraction:
 
     def test_two_blobs_two_clusters(self):
         data = flat_blob_points()
-        ordering = compute_ordering(emb(data), OpticsParams(100.0, 0.05, 3), "euclidean")
+        ordering = ordering_of(data, OpticsParams(100.0, 0.05, 3), "euclidean")
         part = extract_xi_clusters(ordering, 0.05, 3)
         truth = np.array([0] * 20 + [1] * 20)
         assert part.cluster_count() == 2
@@ -212,7 +208,7 @@ class TestXiExtraction:
 
     def test_gaussian_blobs_two_clusters_with_dense_min_samples(self):
         data = two_blob_points(seed=1)
-        ordering = compute_ordering(emb(data), OpticsParams(100.0, 0.05, 15), "euclidean")
+        ordering = ordering_of(data, OpticsParams(100.0, 0.05, 15), "euclidean")
         part = extract_xi_clusters(ordering, 0.05, 15)
         truth = np.array([0] * 20 + [1] * 20)
         assert part.cluster_count() == 2
@@ -220,7 +216,7 @@ class TestXiExtraction:
 
     def test_single_blob_single_cluster(self):
         data = (np.arange(30) * 0.01).reshape(-1, 1)
-        ordering = compute_ordering(emb(data), OpticsParams(100.0, 0.05, 3), "euclidean")
+        ordering = ordering_of(data, OpticsParams(100.0, 0.05, 3), "euclidean")
         part = extract_xi_clusters(ordering, 0.05, 3)
         assert part.cluster_count() == 1
         biggest = max(np.bincount(part.labels[part.labels != -1]))
@@ -228,7 +224,7 @@ class TestXiExtraction:
 
     def test_xi_bounds(self):
         data = two_blob_points(seed=0)
-        ordering = compute_ordering(emb(data), OpticsParams(1.0, 0.05, 3), "euclidean")
+        ordering = ordering_of(data, OpticsParams(1.0, 0.05, 3), "euclidean")
         with pytest.raises(DdceError):
             extract_xi_clusters(ordering, 1.5, 3)
 
