@@ -15,8 +15,6 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import __version__, corpus, embed, experiments, metrics, optics, pipeline
 from .errors import DdceError
 from .util import atomic_write_text, parse_json, read_text, substream
@@ -50,9 +48,10 @@ def _write_manifest(args, cfg_seed: int, extra_inputs: list[str]) -> None:
 def _load_labeled(args, cfg) -> corpus.LabeledDataset:
     if args.max_per_intent < 0:
         raise DdceError(f"--max-per-intent must be >= 0, got {args.max_per_intent}")
-    cap = args.max_per_intent or None
-    rng = substream(cfg.master_seed, "cap") if cap else None
-    return corpus.load_labeled_jsonl(args.labeled, max_per_intent=cap, rng=rng)
+    d = corpus.load_labeled_jsonl(args.labeled)
+    if args.max_per_intent:
+        d = corpus.cap_per_intent(d, args.max_per_intent, substream(cfg.master_seed, "cap"))
+    return d
 
 
 def _maybe_embeddings(args) -> embed.EmbeddingMatrix | None:
@@ -109,7 +108,7 @@ def _cmd_cluster(args) -> int:
     params = optics.OpticsParams(max_eps=args.max_eps, xi=args.xi, min_samples=args.min_samples)
     part = optics.cluster(matrix, params, args.s_min, args.metric)
     optics.save_partition_jsonl(part, os.path.join(args.out, "partition.jsonl"))
-    n_out = int((np.asarray(part.labels) == -1).sum())
+    n_out = int((part.labels == -1).sum())
     print(f"{part.cluster_count()} clusters, {n_out} outliers over {part.n} samples")
     return 0
 
@@ -300,10 +299,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
-    except DdceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DdceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,12 +9,15 @@ The classic hypergraph partitioners are replaced by deterministic,
 dependency-free stand-ins: average-linkage agglomeration (CSPA, MCLA) and
 a greedy balanced min-hyperedge-cut (HGPA). Ties always break toward the
 smallest index. All three combiners read one hyperedge incidence matrix H,
-with a row per sample and a 0/1 column per non-outlier base cluster.
+with a row per sample and a 0/1 column per non-outlier base cluster,
+built from ``PartitionSet.labels``, the K x n matrix of base labels that
+BOK and BOKV read directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,12 +60,10 @@ class PartitionSet:
     def ids(self) -> list[str]:
         return self.partitions[0].ids
 
-
-@dataclass(frozen=True)
-class OutlierVote:
-    u: np.ndarray
-    i_out: np.ndarray
-    i_nout: np.ndarray
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """K x n int matrix whose row i is partition i's labels."""
+        return np.vstack([p.labels for p in self.partitions])
 
 
 def k_target(ts: PartitionSet) -> int:
@@ -103,10 +104,7 @@ def _incidence(ts: PartitionSet) -> np.ndarray:
     """Hyperedge incidence matrix H: n x m floats, H[i, e] = 1 when sample
     i is in cluster e, one column per non-outlier cluster in (partition,
     label value) order. Products of H hold exact integer counts."""
-    columns = []
-    for p in ts.partitions:
-        lab = np.asarray(p.labels)
-        columns.append(lab[:, None] == np.unique(lab[lab != -1]))
+    columns = [lab[:, None] == np.unique(lab[lab != -1]) for lab in ts.labels]
     return np.hstack(columns).astype(float)
 
 
@@ -231,22 +229,21 @@ def mcla(ts: PartitionSet) -> Partition:
     return Partition(labels=canonicalize_labels(labels), ids=ts.ids)
 
 
+def _nmi_sums(candidates, base: np.ndarray) -> list[float]:
+    """Each candidate labeling's total NMI with the rows of ``base``."""
+    return [float(sum(nmi_labels(c, b) for b in base)) for c in candidates]
+
+
 def nmi_sum(labels: np.ndarray, ts: PartitionSet) -> float:
     """Total agreement of a candidate labeling with every base partition."""
-    return float(sum(nmi_labels(labels, np.asarray(p.labels)) for p in ts.partitions))
-
-
-def _most_agreeing(candidates: list[Partition], ts: PartitionSet) -> tuple[int, list[float]]:
-    """Index of the candidate with the highest :func:`nmi_sum` (the first
-    on ties), and every candidate's sum."""
-    sums = [nmi_sum(np.asarray(p.labels), ts) for p in candidates]
-    return int(np.argmax(sums)), sums
+    return _nmi_sums([labels], ts.labels)[0]
 
 
 def chm_with_details(ts: PartitionSet, seed: int = 0) -> tuple[Partition, dict]:
     names = ("CSPA", "HGPA", "MCLA")
     candidates = [cspa(ts), hgpa(ts, seed=seed), mcla(ts)]
-    idx, sums = _most_agreeing(candidates, ts)
+    sums = _nmi_sums([c.labels for c in candidates], ts.labels)
+    idx = int(np.argmax(sums))
     return candidates[idx], {
         "candidate_nmi_sums": dict(zip(names, sums)), "chosen_candidate": names[idx],
     }
@@ -258,8 +255,16 @@ def chm(ts: PartitionSet, seed: int = 0) -> Partition:
     return chm_with_details(ts, seed=seed)[0]
 
 
+def _best_of_k(ts: PartitionSet, voted_out: np.ndarray) -> tuple[int, list[float]]:
+    """Index of the base labeling with the highest NMI sum against all of
+    them on the samples not voted out (the first on ties), and every sum."""
+    kept = ts.labels[:, ~voted_out]
+    sums = _nmi_sums(kept, kept)
+    return int(np.argmax(sums)), sums
+
+
 def bok_with_details(ts: PartitionSet) -> tuple[Partition, dict]:
-    idx, sums = _most_agreeing(ts.partitions, ts)
+    idx, sums = _best_of_k(ts, np.zeros(ts.n, dtype=bool))
     return ts.partitions[idx], {"winner_index": idx, "nmi_sums": sums}
 
 
@@ -269,14 +274,10 @@ def bok(ts: PartitionSet) -> Partition:
     return bok_with_details(ts)[0]
 
 
-def outlier_vote(ts: PartitionSet) -> OutlierVote:
-    """Per-sample majority vote on outlier status: a sample is voted
-    outlier when strictly more than half the models label it -1."""
-    votes = np.zeros(ts.n, dtype=int)
-    for p in ts.partitions:
-        votes += np.asarray(p.labels) == -1
-    u = votes * 2 > ts.k
-    return OutlierVote(u=u, i_out=np.flatnonzero(u), i_nout=np.flatnonzero(~u))
+def outlier_vote(ts: PartitionSet) -> np.ndarray:
+    """Per-sample majority vote on outlier status as a bool mask: a sample
+    is voted outlier when strictly more than half the models label it -1."""
+    return np.count_nonzero(ts.labels == -1, axis=0) * 2 > ts.k
 
 
 def bokv_with_details(ts: PartitionSet) -> tuple[Partition, dict]:
@@ -287,20 +288,15 @@ def bokv_with_details(ts: PartitionSet) -> tuple[Partition, dict]:
     if not gate_open:
         part, best = bok_with_details(ts)
     else:
-        vote = outlier_vote(ts)
-        n_voted_outliers = int(len(vote.i_out))
-        if len(vote.i_nout) == 0:
-            part = Partition(labels=np.full(ts.n, -1, dtype=int), ids=ts.ids)
+        voted_out = outlier_vote(ts)
+        n_voted_outliers = int(np.count_nonzero(voted_out))
+        if voted_out.all():
+            part = Partition(labels=np.full(ts.n, -1), ids=ts.ids)
             best = {"winner_index": None, "nmi_sums": None}
         else:
-            ids = [ts.ids[i] for i in vote.i_nout]
-            _, best = bok_with_details(PartitionSet(
-                [Partition(labels=np.asarray(p.labels)[vote.i_nout], ids=ids)
-                 for p in ts.partitions]
-            ))
-            labels = np.asarray(ts.partitions[best["winner_index"]].labels).copy()
-            labels[vote.i_out] = -1
-            part = Partition(labels=labels, ids=ts.ids)
+            idx, sums = _best_of_k(ts, voted_out)
+            part = Partition(labels=np.where(voted_out, -1, ts.labels[idx]), ids=ts.ids)
+            best = {"winner_index": idx, "nmi_sums": sums}
     return part, {
         "gate_open": gate_open, "degraded_to_bok": not gate_open, **best,
         "n_voted_outliers": n_voted_outliers,

@@ -4,7 +4,6 @@ splitting, outlier injection, synthetic data generation, and JSONL I/O.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -16,7 +15,7 @@ from .errors import (
     StratificationError,
     UnsplittableDatasetError,
 )
-from .util import atomic_write_text, read_jsonl, round_half_up
+from .util import read_jsonl, round_half_up, write_jsonl
 
 
 @dataclass(frozen=True)
@@ -245,11 +244,10 @@ def generate_synthetic(
     return dataset, oracle
 
 
-def cap_per_intent(d: LabeledDataset, cap: int, rng: np.random.Generator | None = None) -> LabeledDataset:
-    """Downsample each intent to at most ``cap`` rows. With an rng the rows
-    are sampled uniformly; without, the first ``cap`` in order are kept.
-    Rows without an intent (injected outliers) pass through untouched.
-    """
+def cap_per_intent(d: LabeledDataset, cap: int, rng: np.random.Generator) -> LabeledDataset:
+    """Downsample each intent with more than ``cap`` rows to ``cap`` rows
+    sampled uniformly with ``rng``. Rows without an intent (injected
+    outliers) pass through untouched."""
     if cap < 1:
         raise DdceError(f"cap must be >= 1, got {cap}")
     by_intent: dict[str, list[int]] = {}
@@ -261,8 +259,6 @@ def cap_per_intent(d: LabeledDataset, cap: int, rng: np.random.Generator | None 
         indices = by_intent[intent]
         if len(indices) <= cap:
             keep.update(indices)
-        elif rng is None:
-            keep.update(indices[:cap])
         else:
             picked = rng.choice(len(indices), size=cap, replace=False)
             keep.update(indices[i] for i in picked)
@@ -295,8 +291,7 @@ def _obj_to_row(obj: dict, where: str) -> Utterance:
 
 def save_jsonl(dataset, path: str) -> None:
     """Write a dataset as one JSON object per line, UTF-8, LF endings."""
-    lines = [json.dumps(_row_to_obj(r), ensure_ascii=False) for r in dataset.rows]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    write_jsonl(path, map(_row_to_obj, dataset.rows))
 
 
 def _read_rows(path: str, labeled: bool = False) -> list[Utterance]:
@@ -309,15 +304,9 @@ def _read_rows(path: str, labeled: bool = False) -> list[Utterance]:
     return rows
 
 
-def load_labeled_jsonl(
-    path: str, max_per_intent: int | None = 50, rng: np.random.Generator | None = None
-) -> LabeledDataset:
-    """Load a labeled dataset, downsampling each intent to ``max_per_intent``
-    rows (pass None to disable the cap). Every row needs an intent."""
-    d = LabeledDataset(rows=_read_rows(path, labeled=True))
-    if max_per_intent is not None:
-        d = cap_per_intent(d, max_per_intent, rng)
-    return d
+def load_labeled_jsonl(path: str) -> LabeledDataset:
+    """Load every row of a labeled dataset; each row needs an intent."""
+    return LabeledDataset(rows=_read_rows(path, labeled=True))
 
 
 def load_unlabeled_jsonl(path: str) -> UnlabeledDataset:

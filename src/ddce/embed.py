@@ -58,11 +58,10 @@ class EmbeddingMatrix:
         return EmbeddingMatrix(data=self.data[sel].copy(), row_ids=list(ids))
 
 
-def normalize_rows(m: EmbeddingMatrix) -> EmbeddingMatrix:
-    """L2-normalize each row; all-zero rows are left as zeros."""
-    norms = np.linalg.norm(m.data, axis=1, keepdims=True)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    return EmbeddingMatrix(data=m.data / safe, row_ids=list(m.row_ids))
+def normalize_rows(x: np.ndarray) -> np.ndarray:
+    """L2-normalize each row of a 2-D array; all-zero rows stay zeros."""
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    return x / np.where(norms == 0.0, 1.0, norms)
 
 
 def featurize(texts: list[str], feature_dim: int, ids: list[str] | None = None) -> EmbeddingMatrix:
@@ -92,7 +91,7 @@ def featurize(texts: list[str], feature_dim: int, ids: list[str] | None = None) 
             X[i, bucket[tok]] += c * idf[tok]
     if ids is None:
         ids = [str(i) for i in range(n)]
-    return normalize_rows(EmbeddingMatrix(data=X, row_ids=list(ids)))
+    return EmbeddingMatrix(data=normalize_rows(X), row_ids=list(ids))
 
 
 @dataclass
@@ -225,7 +224,7 @@ def encode(model: EncoderModel, texts: list[str], ids: list[str] | None = None) 
     """Hidden-layer representation tanh(W·x + b) per text, L2-normalized."""
     feats = featurize(texts, model.feature_dim, ids=ids)
     hidden = np.tanh(feats.data @ model.W + model.b)
-    return normalize_rows(EmbeddingMatrix(data=hidden, row_ids=feats.row_ids))
+    return EmbeddingMatrix(data=normalize_rows(hidden), row_ids=feats.row_ids)
 
 
 def save_embeddings(m: EmbeddingMatrix, path: str) -> None:

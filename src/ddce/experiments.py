@@ -85,7 +85,7 @@ def kmeans_baseline(
         encoder, _ = train_encoder(train, val, train_cfg)
         e_ul = encode(encoder, d_ul.texts(), ids=d_ul.ids())
     assign = kmeans_labels(e_ul.data, k_c, derive_seed(cfg.master_seed, "baseline-kmeans"))
-    part = optics.Partition(labels=np.asarray(assign, dtype=int), ids=d_ul.ids())
+    part = optics.Partition(labels=assign, ids=d_ul.ids())
     return optics.filter_small_clusters(part, 2)
 
 
@@ -160,16 +160,9 @@ def wilcoxon_signed_rank(diffs: list[float]) -> float:
     n = len(d)
     if n == 0:
         return 1.0
-    order = np.argsort(np.abs(d), kind="stable")
-    ranks = np.empty(n)
-    sorted_abs = np.abs(d)[order]
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_abs[j + 1] == sorted_abs[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    # A tie group's midrank is its last rank minus half its extra members.
+    _, group, tie_counts = np.unique(np.abs(d), return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(tie_counts) - (tie_counts - 1) / 2.0)[group]
     w_plus = float(ranks[d > 0].sum())
     if n <= 25:
         dranks = np.rint(2.0 * ranks).astype(int)
@@ -186,7 +179,6 @@ def wilcoxon_signed_rank(diffs: list[float]) -> float:
         p_high = counts[w2:].sum() / denom
         return float(min(1.0, 2.0 * min(p_low, p_high)))
     mean = n * (n + 1) / 4.0
-    _, tie_counts = np.unique(np.abs(d), return_counts=True)
     tie_term = sum(t ** 3 - t for t in tie_counts) / 48.0
     var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term
     z = (w_plus - mean) / math.sqrt(var)

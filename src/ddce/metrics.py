@@ -118,7 +118,7 @@ def nonoutlier_recall(truth_outlier_flags: np.ndarray | list[bool], pred: Partit
     n_true = int((~flags).sum())
     if n_true == 0:
         return 1.0
-    caught = int(((~flags) & (np.asarray(pred.labels) != -1)).sum())
+    caught = int(((~flags) & (pred.labels != -1)).sum())
     return caught / n_true
 
 
@@ -193,5 +193,5 @@ def score_against(truth_labels: np.ndarray, pred: Partition) -> Scores:
     :func:`ground_truth_labels` for ``pred.ids``, so a caller scoring many
     partitions of the same rows builds it once."""
     score_c = nonoutlier_recall(truth_labels == OUTLIER_TRUTH_LABEL, pred)
-    score_ari = ari_labels(truth_labels, np.asarray(pred.labels))
+    score_ari = ari_labels(truth_labels, pred.labels)
     return Scores.from_parts(score_c, score_ari)

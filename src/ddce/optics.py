@@ -9,14 +9,13 @@ scale is thousands of points, not millions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .embed import EmbeddingMatrix
+from .embed import EmbeddingMatrix, normalize_rows
 from .errors import DdceError
-from .util import atomic_write_text, read_jsonl
+from .util import read_jsonl, write_jsonl
 
 METRICS = ("cosine", "euclidean")
 
@@ -50,21 +49,26 @@ class ReachabilityOrdering:
 
 @dataclass(frozen=True)
 class Partition:
-    """Per-sample integer cluster labels; -1 marks outliers."""
+    """Per-sample integer cluster labels, held as a 1-D int array; -1
+    marks outliers."""
 
     labels: np.ndarray
     ids: list[str]
 
     def __post_init__(self):
-        if len(self.labels) != len(self.ids):
-            raise DdceError(f"{len(self.labels)} labels but {len(self.ids)} ids")
+        labels = np.asarray(self.labels)
+        if labels.ndim != 1:
+            raise DdceError(f"labels must be 1-D, got shape {labels.shape}")
+        if len(labels) != len(self.ids):
+            raise DdceError(f"{len(labels)} labels but {len(self.ids)} ids")
+        object.__setattr__(self, "labels", labels.astype(int, copy=False))
 
     @property
     def n(self) -> int:
         return len(self.ids)
 
     def cluster_count(self) -> int:
-        return len({int(v) for v in self.labels if v != -1})
+        return len(np.unique(self.labels[self.labels != -1]))
 
 
 def canonicalize_labels(labels: np.ndarray) -> np.ndarray:
@@ -88,8 +92,7 @@ def pairwise_distances(x: np.ndarray, metric: str) -> np.ndarray:
     n = x.shape[0]
     D = np.empty((n, n))
     if metric == "cosine":
-        norms = np.linalg.norm(x, axis=1, keepdims=True)
-        xn = x / np.where(norms == 0.0, 1.0, norms)
+        xn = normalize_rows(x)
         for i in range(n):
             D[i] = np.maximum(0.0, 1.0 - (xn * xn[i]).sum(axis=1))
         np.fill_diagonal(D, 0.0)
@@ -278,7 +281,7 @@ def filter_small_clusters(p: Partition, s_min: int) -> Partition:
     renumber the survivors by first appearance."""
     if s_min < 1:
         raise DdceError(f"s_min must be >= 1, got {s_min}")
-    labels = np.asarray(p.labels).copy()
+    labels = p.labels.copy()
     values, counts = np.unique(labels[labels != -1], return_counts=True)
     labels[np.isin(labels, values[counts < s_min])] = -1
     return Partition(labels=canonicalize_labels(labels), ids=list(p.ids))
@@ -307,11 +310,7 @@ def cluster_with_distances(
 
 
 def save_partition_jsonl(p: Partition, path: str) -> None:
-    lines = [
-        json.dumps({"id": rid, "cluster": int(lab)}, ensure_ascii=False)
-        for rid, lab in zip(p.ids, p.labels)
-    ]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    write_jsonl(path, ({"id": rid, "cluster": int(lab)} for rid, lab in zip(p.ids, p.labels)))
 
 
 def load_partition_jsonl(path: str) -> Partition:
@@ -328,4 +327,4 @@ def load_partition_jsonl(path: str) -> Partition:
         if isinstance(label, bool) or not isinstance(label, int) or not -1 <= label < 2**63:
             raise DdceError(f"{path}:{lineno}: cluster must be an integer >= -1, got {label!r}")
         rows[obj["id"]] = label
-    return Partition(labels=np.array(list(rows.values()), dtype=int), ids=list(rows))
+    return Partition(labels=list(rows.values()), ids=list(rows))

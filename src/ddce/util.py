@@ -1,5 +1,5 @@
 """Small shared helpers: stable hashing, seeded stream derivation, atomic
-writes, JSON/JSONL reading, CSV text."""
+writes, JSON/JSONL reading and writing, CSV text."""
 
 from __future__ import annotations
 
@@ -99,6 +99,11 @@ def read_jsonl(path: str) -> list[tuple[int, object]]:
     """(line number, parsed value) for each non-blank line of a JSONL file."""
     lines = enumerate(read_text(path).split("\n"), start=1)
     return [(n, parse_json(line.strip(), f"{path}:{n}")) for n, line in lines if line.strip()]
+
+
+def write_jsonl(path: str, objs) -> None:
+    """Write one JSON value per line, UTF-8 with LF endings, atomically."""
+    atomic_write_text(path, "".join(json.dumps(o, ensure_ascii=False) + "\n" for o in objs))
 
 
 def csv_text(header: list[str], rows) -> str:

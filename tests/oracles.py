@@ -257,6 +257,59 @@ def ref_co_association(labelsets) -> list[list[float]]:
 
 
 # ---------------------------------------------------------------------------
+# Best of K with outlier voting, from the definitions
+
+def ref_bokv(labelsets, recalls) -> dict:
+    """BOKV by counting: the gate is open when strictly more than half the
+    recalls exceed 0.5; with it open, a sample is voted out when strictly
+    more than half the models label it -1 and the winner maximizes the
+    summed :func:`ref_nmi` over the voted-in samples (first maximum); with
+    it closed, every sample counts and nothing is voted out. No voted-in
+    sample leaves all -1 and no winner. Returns the labels, the winner,
+    the per-model sums and the gate."""
+    k, n = len(labelsets), len(labelsets[0])
+    gate_open = 2 * sum(1 for r in recalls if r > 0.5) > k
+    voted_out = [
+        gate_open and 2 * sum(1 for labels in labelsets if labels[i] == -1) > k
+        for i in range(n)
+    ]
+    kept = [i for i in range(n) if not voted_out[i]]
+    if gate_open and not kept:
+        return {"labels": [-1] * n, "winner": None, "nmi_sums": None, "gate_open": True}
+    restricted = [[labels[i] for i in kept] for labels in labelsets]
+    sums = [sum(ref_nmi(a, b) for b in restricted) for a in restricted]
+    winner = 0
+    for i, s in enumerate(sums):
+        if s > sums[winner]:
+            winner = i
+    labels = [-1 if voted_out[i] else lab for i, lab in enumerate(labelsets[winner])]
+    return {"labels": labels, "winner": winner, "nmi_sums": sums, "gate_open": gate_open}
+
+
+# ---------------------------------------------------------------------------
+# Wilcoxon signed-rank by enumerating every sign vector
+
+def ref_wilcoxon(diffs) -> float:
+    """Two-sided exact Wilcoxon signed-rank p-value: zeros dropped, midranks
+    counted as (#smaller) + (#equal + 1) / 2, and the null distribution of
+    W+ taken from all 2^n sign vectors. Meant for n <= 12."""
+    d = [x for x in diffs if x != 0.0]
+    n = len(d)
+    if n == 0:
+        return 1.0
+    mags = [abs(x) for x in d]
+    ranks = [sum(1 for m in mags if m < a) + (sum(1 for m in mags if m == a) + 1) / 2
+             for a in mags]
+    w_plus = sum(r for r, x in zip(ranks, d) if x > 0)
+    low = high = 0
+    for mask in range(2 ** n):
+        w = sum(r for bit, r in enumerate(ranks) if mask >> bit & 1)
+        low += w <= w_plus
+        high += w >= w_plus
+    return min(1.0, 2 * min(low, high) / 2 ** n)
+
+
+# ---------------------------------------------------------------------------
 # Central finite differences
 
 def finite_difference_grads(loss_fn, params: list[np.ndarray], step: float = 1e-4):

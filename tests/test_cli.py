@@ -6,11 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from ddce.cli import main
+from ddce.cli import _load_labeled, build_parser, main
 from ddce.corpus import save_jsonl
+from ddce.pipeline import PipelineConfig
 from ddce.embed import EmbeddingMatrix, load_precomputed, save_embeddings
 
-from conftest import make_benchmark
+from conftest import make_benchmark, make_labeled
 
 
 def run(*argv):
@@ -373,6 +374,16 @@ class TestTrainAndBaseline:
         assert code == 0
         scores = json.load(open(os.path.join(workspace["out"], "scores.json")))
         assert 0.0 <= scores["score"] <= 1.0
+
+    @pytest.mark.parametrize("flag, expected", [([], 50), (["--max-per-intent", "7"], 7),
+                                                (["--max-per-intent", "0"], 60)])
+    def test_max_per_intent_caps_each_intent(self, tmp_path, flag, expected):
+        path = str(tmp_path / "labeled.jsonl")
+        save_jsonl(make_labeled({"a": 60, "b": 4}), path)
+        args = build_parser().parse_args(
+            ["train", "--labeled", path, "--outlier-source", path, "--out", str(tmp_path), *flag])
+        d = _load_labeled(args, PipelineConfig())
+        assert [sum(1 for r in d.rows if r.intent == i) for i in "ab"] == [expected, 4]
 
 
 class TestSweepCommands:

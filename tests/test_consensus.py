@@ -27,6 +27,7 @@ from oracles import (
     balanced_splits,
     hyperedge_cut_value,
     partitions_into_k,
+    ref_bokv,
     ref_co_association,
     ref_hgpa,
     ref_hyperedges,
@@ -55,6 +56,11 @@ class TestPartitionSet:
     def test_needs_at_least_one(self):
         with pytest.raises(DdceError):
             PartitionSet(partitions=[])
+
+    def test_labels_matrix(self):
+        ts = TS([[0, 1, -1], [2, 2, 0]])
+        assert ts.labels.tolist() == [[0, 1, -1], [2, 2, 0]]
+        assert TS([[], []]).labels.shape == (2, 0)
 
 
 class TestKTarget:
@@ -331,27 +337,29 @@ class TestBok:
 class TestOutlierVote:
     def test_majority_of_five(self):
         ts = TS([[-1], [-1], [-1], [0], [0]])
-        assert outlier_vote(ts).u.tolist() == [True]
+        assert outlier_vote(ts).tolist() == [True]
 
     def test_two_of_five_not_enough(self):
         ts = TS([[-1], [-1], [0], [0], [0]])
-        assert outlier_vote(ts).u.tolist() == [False]
+        assert outlier_vote(ts).tolist() == [False]
 
     def test_exact_tie_is_non_outlier(self):
         ts = TS([[-1], [-1], [0], [0]])
-        assert outlier_vote(ts).u.tolist() == [False]
+        assert outlier_vote(ts).tolist() == [False]
 
     def test_index_sets_partition_everything(self):
         rng = np.random.default_rng(2)
         ts = TS([rng.integers(-1, 2, size=9).tolist() for _ in range(5)])
         vote = outlier_vote(ts)
-        assert sorted(vote.i_out.tolist() + vote.i_nout.tolist()) == list(range(9))
+        assert vote.dtype == bool and vote.shape == (9,)
+        i_out, i_nout = np.flatnonzero(vote), np.flatnonzero(~vote)
+        assert sorted(i_out.tolist() + i_nout.tolist()) == list(range(9))
 
     def test_adding_all_outlier_model_only_grows_i_out(self):
         rng = np.random.default_rng(4)
         base = [rng.integers(-1, 2, size=8).tolist() for _ in range(4)]
-        before = set(outlier_vote(TS(base)).i_out.tolist())
-        after = set(outlier_vote(TS(base + [[-1] * 8])).i_out.tolist())
+        before = set(np.flatnonzero(outlier_vote(TS(base))).tolist())
+        after = set(np.flatnonzero(outlier_vote(TS(base + [[-1] * 8]))).tolist())
         assert before <= after
 
 
@@ -416,6 +424,63 @@ class TestBokv:
         out, details = bokv_with_details(ts)
         assert details["winner_index"] == 0
         assert out.labels.tolist() == [0, 0, 1, 1, -1, -1]
+
+
+def _bokv_case(seed: int):
+    """A random labeling set and recalls; the seed picks the label mode
+    (mixed, none -1, all -1, mostly -1) and whether the gate can open."""
+    rng = np.random.default_rng(seed)
+    k, n = int(rng.integers(1, 7)), int(rng.integers(0, 41))
+    mode = seed % 4
+    low = 0 if mode == 1 else -1
+    high = 0 if mode == 2 else int(rng.integers(1, 6))
+    labelsets = rng.integers(low, high, size=(k, n))
+    if mode == 3:
+        labelsets[rng.random((k, n)) < 0.6] = -1
+    recalls = (rng.uniform(0.5, 1.0, size=k) if seed % 8 < 4 else rng.choice([0.2, 0.5, 0.9], size=k))
+    return labelsets.tolist(), recalls.tolist()
+
+
+def _assert_same_choice(ref, out, winner):
+    """Winner and labels as the oracle's; where its top two sums lie
+    within 1e-9 of each other, either of them may win."""
+    if ref["winner"] is None:
+        assert winner is None and out.labels.tolist() == ref["labels"]
+    elif winner == ref["winner"]:
+        assert out.labels.tolist() == ref["labels"]
+    else:
+        sums = ref["nmi_sums"]
+        near = [i for i, s in enumerate(sums) if s >= max(sums) - 1e-9]
+        assert len(near) > 1 and winner in near
+
+
+class TestBokvOracle:
+    @pytest.mark.parametrize("seed", range(240))
+    def test_matches_definition(self, seed):
+        labelsets, recalls = _bokv_case(seed)
+        ts = TS(labelsets, recalls=recalls)
+        ref = ref_bokv(labelsets, recalls)
+        out, details = bokv_with_details(ts)
+        assert details["gate_open"] is ref["gate_open"]
+        if ref["nmi_sums"] is None:
+            assert details["nmi_sums"] is None
+        else:
+            assert np.allclose(details["nmi_sums"], ref["nmi_sums"], rtol=0, atol=1e-12)
+        _assert_same_choice(ref, out, details["winner_index"])
+        if not ref["gate_open"]:
+            assert out is ts.partitions[details["winner_index"]]
+        # BOK is the gate-closed case: every sample counts, a member wins.
+        out = bok(ts)
+        winner = next(i for i, p in enumerate(ts.partitions) if p is out)
+        _assert_same_choice(ref_bokv(labelsets, [0.0] * len(labelsets)), out, winner)
+
+    def test_battery_covers_every_regime(self):
+        refs = [ref_bokv(*_bokv_case(seed)) for seed in range(240)]
+        cases = [_bokv_case(seed) for seed in range(240)]
+        assert any(r["gate_open"] for r in refs) and not all(r["gate_open"] for r in refs)
+        assert any(r["winner"] is None for r in refs)  # all voted out
+        assert any(len(ls[0]) == 0 for ls, _ in cases)
+        assert any(r["gate_open"] and -1 not in r["labels"] and r["labels"] for r in refs)
 
 
 class TestRunConsensus:

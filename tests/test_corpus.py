@@ -216,11 +216,11 @@ class TestGenerateSynthetic:
 
 
 class TestCapAndJsonl:
-    def test_cap_first_k_without_rng(self):
+    def test_cap_samples_each_intent_down_to_cap(self):
         d = make_labeled({"a": 10, "b": 3})
-        capped = cap_per_intent(d, 5)
+        capped = cap_per_intent(d, 5, seeded(2))
         assert sum(1 for r in capped.rows if r.intent == "a") == 5
-        assert sum(1 for r in capped.rows if r.intent == "b") == 3
+        assert [r.id for r in capped.rows if r.intent == "b"] == [r.id for r in d.rows[10:]]
 
     def test_cap_with_rng_is_deterministic(self):
         d = make_labeled({"a": 10})
@@ -232,7 +232,7 @@ class TestCapAndJsonl:
         d = make_labeled({"a": 3, "b": 2})
         path = str(tmp_path / "d.jsonl")
         save_jsonl(d, path)
-        assert load_labeled_jsonl(path, max_per_intent=None) == d
+        assert load_labeled_jsonl(path) == d
         # Injected outliers carry no intent, so they round-trip as unlabeled rows.
         d = inject_outliers(d.to_unlabeled(), outlier_source(), 0.4, seeded())
         save_jsonl(d, path)
@@ -259,12 +259,6 @@ class TestCapAndJsonl:
         assert not raw.decode("utf-8").endswith("\r\n")
         obj = json.loads(raw.decode("utf-8").splitlines()[0])
         assert set(obj) == {"id", "text", "intent"}
-
-    def test_load_applies_default_cap(self, tmp_path):
-        d = make_labeled({"a": 60})
-        path = str(tmp_path / "d.jsonl")
-        save_jsonl(d, path)
-        assert load_labeled_jsonl(path).N == 50
 
     def test_unlabeled_keeps_hidden_intent(self, tmp_path):
         d = make_labeled({"a": 2})

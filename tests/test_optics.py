@@ -229,6 +229,25 @@ class TestXiExtraction:
             extract_xi_clusters(ordering, 1.5, 3)
 
 
+class TestPartition:
+    def test_list_labels_become_int_array(self):
+        p = Partition(labels=[0, -1, 2], ids=["a", "b", "c"])
+        assert isinstance(p.labels, np.ndarray) and p.labels.dtype == np.int64
+        assert p.labels.tolist() == [0, -1, 2]
+        assert Partition(labels=[], ids=[]).labels.dtype == np.int64
+
+    def test_two_dimensional_labels_rejected(self):
+        with pytest.raises(DdceError, match="1-D"):
+            Partition(labels=np.array([[0, 1]]), ids=["a"])
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(DdceError, match="2 labels but 3 ids"):
+            Partition(labels=[0, 1], ids=["a", "b", "c"])
+
+    def test_cluster_count_ignores_outliers(self):
+        assert Partition(labels=[3, -1, 3, 7], ids=list("abcd")).cluster_count() == 2
+
+
 class TestFilterSmallClusters:
     def part(self, labels):
         labels = np.asarray(labels)

@@ -31,6 +31,7 @@ from ddce.pipeline import (
 from ddce.search import SearchSpace
 
 from conftest import make_benchmark, make_labeled
+from oracles import ref_wilcoxon
 
 
 def fast_cfg(**overrides) -> PipelineConfig:
@@ -210,6 +211,12 @@ class TestWilcoxon:
     def test_handles_ties_with_midranks(self):
         p = wilcoxon_signed_rank([0.5, 0.5, -0.5, 1.0, 1.0])
         assert 0.0 < p <= 1.0
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_ties_and_zeros_match_enumeration(self, seed):
+        rng = np.random.default_rng(seed)
+        diffs = (0.25 * rng.integers(-4, 5, size=int(rng.integers(1, 13)))).tolist()
+        assert wilcoxon_signed_rank(diffs) == pytest.approx(ref_wilcoxon(diffs), abs=1e-12)
 
     def test_one_sided_shift_significant(self):
         p = wilcoxon_signed_rank([0.3, 0.5, 0.2, 0.4, 0.6, 0.25, 0.35, 0.45])
