@@ -3,8 +3,10 @@ extraction from the reachability plot, and the minimum-cluster-size
 outlier rule.
 
 All tie-breaking is deterministic (smallest index wins) so ensemble runs
-are exactly reproducible. Neighbor search is brute force; the intended
-scale is thousands of points, not millions.
+are exactly reproducible. Neighbor search is brute force over every pair,
+computed once; only the pairs within max_eps are kept, so memory scales
+with their number, not with n². The intended scale is thousands of points,
+not millions.
 """
 
 from __future__ import annotations
@@ -83,79 +85,135 @@ def canonicalize_labels(labels: np.ndarray) -> np.ndarray:
     return out
 
 
-def pairwise_distances(x: np.ndarray, metric: str) -> np.ndarray:
-    """Dense distance matrix. Cosine is 1 - dot of L2-normalized rows
-    (clamped at 0, self-distance forced to 0); euclidean is the usual norm.
+@dataclass(frozen=True)
+class Neighbourhood:
+    """Every pair within ``radius``, as CSR rows: row i is
+    ``indices[indptr[i]:indptr[i + 1]]`` with the matching ``distances``,
+    holding each j with d(i, j) <= radius (i itself at 0.0), ordered by
+    (distance, index)."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    distances: np.ndarray
+    radius: float
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = len(self.indptr) - 1
+        return (n, n)
+
+
+def pairwise_distances(x: np.ndarray, metric: str, radius: float = np.inf) -> Neighbourhood:
+    """The pairs of rows of ``x`` within ``radius``. Cosine is 1 - dot of
+    L2-normalized rows (clamped at 0, self-distance 0); euclidean is the
+    usual norm.
+
+    Row i computes only the columns j > i; d(j, i) is the same value,
+    bitwise, so it is mirrored into row j rather than computed again.
+    Memory scales with the number of pairs within ``radius``, not n².
     """
     if metric not in METRICS:
         raise DdceError(f"unknown metric {metric!r}, expected one of {METRICS}")
     n = x.shape[0]
-    D = np.empty((n, n))
     if metric == "cosine":
         xn = normalize_rows(x)
-        for i in range(n):
-            D[i] = np.maximum(0.0, 1.0 - (xn * xn[i]).sum(axis=1))
-        np.fill_diagonal(D, 0.0)
-    else:
-        for i in range(n):
-            D[i] = np.sqrt(((x - x[i]) ** 2).sum(axis=1))
-    return D
+    upper = []  # row i: (columns j > i within radius, their distances)
+    row_len = np.ones(n, dtype=np.intp)  # i itself
+    for i in range(n):
+        if metric == "cosine":
+            d = np.maximum(0.0, 1.0 - (xn[i + 1:] * xn[i]).sum(axis=1))
+        else:
+            d = np.sqrt(((x[i + 1:] - x[i]) ** 2).sum(axis=1))
+        keep = np.flatnonzero(d <= radius)
+        cols = keep + (i + 1)
+        upper.append((cols, d[keep]))
+        row_len[i] += len(cols)
+        row_len[cols] += 1
+    indptr = np.concatenate([[0], np.cumsum(row_len)])
+    indices = np.empty(indptr[-1], dtype=np.intp)
+    distances = np.empty(indptr[-1])
+    # Next free slot of each row's part j < i. Rows are filled in index
+    # order, so that part arrives in index order and row i is complete
+    # once its own columns j > i are written.
+    fill = indptr[:-1].copy()
+    for i in range(n):
+        cols, d = upper[i]
+        upper[i] = None
+        start, mid, end = indptr[i], fill[i], indptr[i + 1]
+        indices[mid] = i
+        distances[mid] = 0.0
+        indices[mid + 1:end] = cols
+        distances[mid + 1:end] = d
+        at = fill[cols]
+        indices[at] = i
+        distances[at] = d
+        fill[cols] += 1
+        by_distance = np.argsort(distances[start:end], kind="stable")
+        indices[start:end] = indices[start:end][by_distance]
+        distances[start:end] = distances[start:end][by_distance]
+    return Neighbourhood(indptr=indptr, indices=indices, distances=distances, radius=radius)
 
 
 def compute_ordering(
-    D: np.ndarray,
-    ids: list[str],
-    params: OpticsParams,
-    sorted_d: np.ndarray | None = None,
+    nbrs: Neighbourhood, ids: list[str], params: OpticsParams
 ) -> ReachabilityOrdering:
-    """Standard OPTICS on a distance matrix, optionally with its row-sorted
-    copy: expand from each unprocessed point (index order), repeatedly
-    processing the unreached point with the smallest tentative
-    reachability, ties broken by smallest index."""
-    n = D.shape[0]
-    # Core distance counts the point itself among its neighbors.
-    if params.min_samples > n:
-        core = np.full(n, np.inf)
-    else:
-        if sorted_d is None:
-            kth = np.partition(D, params.min_samples - 1, axis=1)[:, params.min_samples - 1]
-        else:
-            kth = sorted_d[:, params.min_samples - 1]
-        core = np.where(kth <= params.max_eps, kth, np.inf)
+    """Standard OPTICS on the neighbourhood structure: expand from each
+    unprocessed point (index order), repeatedly processing the unreached
+    point with the smallest tentative reachability, ties broken by
+    smallest index. ``nbrs.radius`` must be at least ``params.max_eps``."""
+    if params.max_eps > nbrs.radius:
+        raise DdceError(f"max_eps {params.max_eps} exceeds the neighbourhood radius {nbrs.radius}")
+    n = nbrs.shape[0]
+    indptr, indices, distances = nbrs.indptr, nbrs.indices, nbrs.distances
+    starts = indptr[:-1]
+    # Core distance counts the point itself among its neighbors. A row with
+    # fewer than min_samples entries has its min_samples-th neighbor beyond
+    # the radius, so beyond max_eps: no core distance.
+    k = params.min_samples
+    has_k = indptr[1:] - starts >= k
+    kth = np.full(n, np.inf)
+    kth[has_k] = distances[starts[has_k] + (k - 1)]
+    core = np.where(kth <= params.max_eps, kth, np.inf)
+    # Rows are in distance order, so the neighbors within max_eps are a
+    # prefix of each row: it ends at the row's first entry beyond max_eps.
+    beyond = np.append(np.flatnonzero(distances > params.max_eps), len(distances))
+    ends = np.minimum(beyond[np.searchsorted(beyond, starts)], indptr[1:])
 
-    reach = np.full(n, np.inf)
+    reach = np.empty(n)
     pred = np.full(n, -1, dtype=int)
     inf = np.inf
     core_list = core.tolist()
-    max_eps = params.max_eps
-    # reach restricted to unprocessed points (inf once processed), and the
-    # number of its finite entries: the points waiting to be picked next.
+    lo_list = starts.tolist()
+    hi_list = ends.tolist()
+    # Tentative reachability of the open points (inf elsewhere), the number
+    # of them, and the best reachability so far of each point, -inf once
+    # processed so that no candidate improves on it.
     open_reach = np.full(n, inf)
     n_open = 0
-    unprocessed = np.ones(n, dtype=bool)
+    best = np.full(n, inf)
     order = []
     for start in range(n):
-        if not unprocessed[start]:
+        if best[start] == -inf:
             continue
         current = start
         while True:
-            unprocessed[current] = False
+            reach[current] = best[current]
+            best[current] = -inf
             order.append(current)
             c = core_list[current]
             if c != inf:
-                drow = D[current]
-                idx = (unprocessed & (drow <= max_eps)).nonzero()[0]
-                if idx.size:
-                    cand = np.maximum(c, drow[idx])
-                    old = open_reach[idx]
-                    better = cand < old
-                    # cand is finite, so every unreached neighbor improves.
-                    n_open += int(np.count_nonzero(old == inf))
-                    upd = idx[better]
-                    val = cand[better]
-                    reach[upd] = val
-                    open_reach[upd] = val
-                    pred[upd] = current
+                lo, hi = lo_list[current], hi_list[current]
+                nb = indices[lo:hi]
+                cand = np.maximum(c, distances[lo:hi])
+                old = best[nb]
+                better = cand < old
+                # cand is finite, so every unreached neighbor improves.
+                n_open += int(np.count_nonzero(old == inf))
+                upd = nb[better]
+                val = cand[better]
+                open_reach[upd] = val
+                best[upd] = val
+                pred[upd] = current
             if n_open == 0:
                 break
             # Smallest tentative reachability, ties to the smallest index.
@@ -292,19 +350,17 @@ def cluster(
 ) -> Partition:
     """Full density clustering pass: ordering, xi extraction, small-cluster
     outlier filtering."""
-    return cluster_with_distances(pairwise_distances(x.data, metric), x.row_ids, params, s_min)
+    nbrs = pairwise_distances(x.data, metric, params.max_eps)
+    return cluster_with_distances(nbrs, x.row_ids, params, s_min)
 
 
 def cluster_with_distances(
-    D: np.ndarray,
-    ids: list[str],
-    params: OpticsParams,
-    s_min: int,
-    sorted_d: np.ndarray | None = None,
+    nbrs: Neighbourhood, ids: list[str], params: OpticsParams, s_min: int
 ) -> Partition:
-    """As :func:`cluster` but on a precomputed distance matrix, optionally
-    with its row-sorted copy; lets a hyperparameter search reuse both."""
-    ordering = compute_ordering(D, ids, params, sorted_d=sorted_d)
+    """As :func:`cluster` but on a precomputed neighbourhood structure of
+    radius >= ``params.max_eps``; lets a hyperparameter search, or several
+    models clustering the same rows, share one."""
+    ordering = compute_ordering(nbrs, ids, params)
     extracted = extract_xi_clusters(ordering, params.xi, params.min_samples)
     return filter_small_clusters(extracted, s_min)
 

@@ -130,18 +130,26 @@ def infer(
     embeddings: EmbeddingMatrix | None = None,
 ) -> consensus_mod.PartitionSet:
     """Cluster the unlabeled set once per base model, producing K aligned
-    partitions carrying the models' validation recalls."""
+    partitions carrying the models' validation recalls. Models without an
+    encoder all cluster the same precomputed rows, so they share one
+    neighbourhood structure at the largest of their max_eps."""
     if not artifacts:
         raise DdceError("infer needs at least one base model artifact")
+    precomputed_eps = [a.params.max_eps for a in artifacts if a.encoder is None]
+    if precomputed_eps and embeddings is not None:
+        e_pre = embeddings.rows_for_ids(d_ul.ids())
+        nbrs = optics.pairwise_distances(e_pre.data, cfg.metric, max(precomputed_eps))
     partitions = []
     for k, art in enumerate(artifacts):
         if art.encoder is not None:
             e_ul = encode(art.encoder, d_ul.texts(), ids=d_ul.ids())
+            partitions.append(optics.cluster(e_ul, art.params, cfg.s_min, cfg.metric))
+        elif embeddings is None:
+            raise DdceError(f"base model {k} has no encoder and no embeddings were given")
         else:
-            if embeddings is None:
-                raise DdceError(f"base model {k} has no encoder and no embeddings were given")
-            e_ul = embeddings.rows_for_ids(d_ul.ids())
-        partitions.append(optics.cluster(e_ul, art.params, cfg.s_min, cfg.metric))
+            partitions.append(
+                optics.cluster_with_distances(nbrs, e_pre.row_ids, art.params, cfg.s_min)
+            )
     return consensus_mod.PartitionSet(
         partitions=partitions,
         val_recalls=[a.val_scores.score_c for a in artifacts],

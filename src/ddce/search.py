@@ -84,20 +84,20 @@ def random_search(
     keep the highest-scoring parameters (earliest trial on ties).
 
     Each trial draws from its own stream derived from (seed, trial index),
-    so results do not depend on evaluation order. The distance matrix and
-    the ground-truth labels are shared across trials since the embeddings
-    and the validation rows never change.
+    so results do not depend on evaluation order. The neighbourhood
+    structure, at the largest max_eps the space can draw, and the
+    ground-truth labels are shared across trials since the embeddings and
+    the validation rows never change.
     """
     truth_ids = [r.id for r in truth.rows]
     if e_hs.row_ids != truth_ids:
         raise AlignmentError("embedding rows are not aligned with the validation rows")
     truth_labels = metrics.ground_truth_labels(truth, e_hs.row_ids)
-    D = optics.pairwise_distances(e_hs.data, metric)
-    sorted_d = np.sort(D, axis=1)
+    nbrs = optics.pairwise_distances(e_hs.data, metric, space.max_eps_range[1])
     trials = []
     for t in range(space.n_trials):
         params = sample_params(space, substream(seed, "trial", t))
-        part = optics.cluster_with_distances(D, e_hs.row_ids, params, s_min, sorted_d=sorted_d)
+        part = optics.cluster_with_distances(nbrs, e_hs.row_ids, params, s_min)
         trials.append(Trial(t, params, metrics.score_against(truth_labels, part)))
     best = max(trials, key=lambda trial: trial.scores.score)  # first maximum: earliest on ties
     return SearchResult(best_params=best.params, best_scores=best.scores, trials=trials)

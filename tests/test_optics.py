@@ -1,16 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ddce.embed import EmbeddingMatrix
+from ddce.embed import EmbeddingMatrix, normalize_rows
 from ddce.errors import DdceError
 from ddce.metrics import ari_labels
 from ddce.optics import (
+    Neighbourhood,
     OpticsParams,
     Partition,
     ReachabilityOrdering,
     canonicalize_labels,
     cluster,
     cluster_with_distances,
+    Neighbourhood,
     compute_ordering,
     extract_xi_clusters,
     filter_small_clusters,
@@ -20,7 +24,7 @@ from ddce.optics import (
 )
 
 from conftest import cosine_blobs_with_noise, two_blob_points
-from oracles import ref_canonicalize_labels, ref_optics
+from oracles import _pair_distance, ref_canonicalize_labels, ref_optics
 
 
 def emb(data):
@@ -35,14 +39,14 @@ def ordering_of(data, params, metric="cosine"):
 
 
 def assert_matches_reference(data, params, metric):
-    """compute_ordering on the distance matrix, with and without its
-    row-sorted copy, equals the reference bit for bit; returns the result."""
+    """compute_ordering on the neighbourhood structure at radius max_eps,
+    2·max_eps and infinity equals the reference bit for bit; returns the
+    result."""
     data = np.asarray(data, dtype=float)
-    D = pairwise_distances(data, metric)
     order, reach, core, pred = ref_optics(data, params.max_eps, params.min_samples, metric)
     ids = [f"p{i}" for i in range(len(data))]
-    for sorted_d in (None, np.sort(D, axis=1)):
-        got = compute_ordering(D, ids, params, sorted_d=sorted_d)
+    for radius in (params.max_eps, 2 * params.max_eps, np.inf):
+        got = compute_ordering(pairwise_distances(data, metric, radius), ids, params)
         assert got.order.tolist() == order
         assert got.reachability.tolist() == reach
         assert got.core_distance.tolist() == core
@@ -50,7 +54,74 @@ def assert_matches_reference(data, params, metric):
     return got
 
 
+def dense_distances(data, metric):
+    """The full n×n matrix, every row computed over all columns: the
+    bitwise reference for the structure, which computes each pair once."""
+    if metric == "cosine":
+        xn = normalize_rows(data)
+        D = np.array([np.maximum(0.0, 1.0 - (xn * row).sum(axis=1)) for row in xn])
+        D = D.reshape(len(data), len(data))
+        np.fill_diagonal(D, 0.0)
+        return D
+    D = np.array([np.sqrt(((data - row) ** 2).sum(axis=1)) for row in data])
+    return D.reshape(len(data), len(data))
+
+
+def neighbourhood_cases():
+    rng = np.random.default_rng(11)
+    coarse = np.round(rng.normal(size=(40, 3)), 1)  # many tied distances
+    dup = rng.normal(size=(30, 2))
+    dup[rng.integers(0, 30, size=15)] = dup[0]
+    zeros = rng.normal(size=(25, 4))
+    zeros[[0, 3, 4, 20]] = 0.0  # all-zero rows are distance 1 from all under cosine
+    return {
+        "empty": np.empty((0, 3)),
+        "single": rng.normal(size=(1, 3)),
+        "random": rng.normal(size=(60, 5)),
+        "coarse": coarse,
+        "duplicates": dup,
+        "zero_rows": zeros,
+    }
+
+
+class TestNeighbourhood:
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    @pytest.mark.parametrize("case", sorted(neighbourhood_cases()))
+    @pytest.mark.parametrize("radius", [0.0, 0.3, 1.0, np.inf])
+    def test_rows_match_dense_distances(self, metric, case, radius):
+        data = neighbourhood_cases()[case]
+        n = len(data)
+        nbrs = pairwise_distances(data, metric, radius)
+        D = dense_distances(data, metric)
+        assert nbrs.shape == (n, n) and nbrs.radius == radius
+        assert len(nbrs.indptr) == n + 1 and nbrs.indptr[0] == 0
+        assert nbrs.indptr[-1] == len(nbrs.indices) == len(nbrs.distances)
+        for i in range(n):
+            row = slice(nbrs.indptr[i], nbrs.indptr[i + 1])
+            j, d = nbrs.indices[row], nbrs.distances[row]
+            # Each pair within the radius exactly once, none beyond it.
+            assert sorted(j.tolist()) == np.flatnonzero(D[i] <= radius).tolist()
+            assert d.tobytes() == D[i, j].tobytes()
+            pairs = list(zip(d.tolist(), j.tolist()))
+            assert pairs == sorted(pairs)  # (distance, index) order
+            assert d[j == i].tolist() == [0.0]
+
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(DdceError, match="unknown metric"):
+            pairwise_distances(np.ones((2, 2)), "manhattan")
+
+
 class TestComputeOrdering:
+    def test_radius_below_max_eps_rejected(self):
+        data = np.random.default_rng(2).normal(size=(10, 2))
+        ids = [f"p{i}" for i in range(10)]
+        nbrs = pairwise_distances(data, "euclidean", 0.5)
+        with pytest.raises(DdceError, match="exceeds the neighbourhood radius"):
+            compute_ordering(nbrs, ids, OpticsParams(0.6, 0.05, 2))
+        # A max_eps drawn at the end of its range equals the radius exactly.
+        got = compute_ordering(nbrs, ids, OpticsParams(0.5, 0.05, 2))
+        assert sorted(got.order.tolist()) == list(range(10))
+
     def test_not_enough_neighbors_all_infinite(self):
         data = np.random.default_rng(0).normal(size=(5, 2))
         got = ordering_of(data, OpticsParams(10.0, 0.05, 6), "euclidean")
@@ -95,12 +166,12 @@ class TestComputeOrdering:
         data = np.random.default_rng(5).normal(size=(40, 3))
         params = OpticsParams(2.0, 0.05, 4)
         got = ordering_of(data, params, "euclidean")
-        D = pairwise_distances(data, "euclidean")
         for i in range(40):
             p = got.predecessor[i]
             if p == -1:
                 continue
-            assert got.reachability[i] == max(got.core_distance[p], D[p, i])
+            d = _pair_distance(data, p, i, "euclidean")
+            assert got.reachability[i] == max(got.core_distance[p], d)
 
     def test_core_distances_permutation_equivariant(self):
         rng = np.random.default_rng(8)
@@ -299,10 +370,30 @@ class TestCluster:
     def test_empty_matrix(self):
         part = cluster(emb(np.empty((0, 4))), OpticsParams(0.3, 0.05, 3), 2)
         assert part.n == 0
-        D = np.empty((0, 0))
-        for sorted_d in (None, D):
-            part = cluster_with_distances(D, [], OpticsParams(0.3, 0.05, 3), 2, sorted_d=sorted_d)
-            assert part.labels.dtype == np.int64 and part.labels.size == 0
+        empty = Neighbourhood(indptr=np.zeros(1, dtype=np.intp), indices=np.empty(0, dtype=np.intp),
+                              distances=np.empty(0), radius=0.3)
+        part = cluster_with_distances(empty, [], OpticsParams(0.3, 0.05, 3), 2)
+        assert part.labels.dtype == np.int64 and part.labels.size == 0
+
+    def test_memory_scales_with_pairs_within_max_eps(self):
+        # 3000 rows in 100 tight, well-separated groups: about 30 pairs per
+        # row lie within max_eps. An n×n float64 matrix would be 72 MB.
+        rng = np.random.default_rng(4)
+        centers = normalize_rows(rng.normal(size=(100, 16)))
+        data = np.repeat(centers, 30, axis=0) + rng.normal(0.0, 0.002, size=(3000, 16))
+        n = len(data)
+        tracemalloc.start()
+        try:
+            part = cluster(emb(data), OpticsParams(0.01, 0.05, 5), 2, "cosine")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        group = np.repeat(np.arange(100), 30)
+        clustered = part.labels != -1
+        assert clustered.sum() > n // 2
+        # No cluster spans two groups.
+        assert len(set(zip(part.labels[clustered], group[clustered]))) == part.cluster_count()
+        assert peak < n * n * 8 / 8
 
     @pytest.mark.parametrize("seed", range(10))
     def test_cosine_blobs_with_noise(self, seed):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from ddce import optics
 from ddce.corpus import UnlabeledDataset, Utterance, generate_synthetic
-from ddce.embed import TrainConfig
+from ddce.embed import EmbeddingMatrix, TrainConfig
 from ddce.errors import ConfigError, DdceError
 from ddce.experiments import (
     baseline_cluster_count,
@@ -16,8 +17,10 @@ from ddce.experiments import (
     sweep_training_size,
     wilcoxon_signed_rank,
 )
-from ddce.metrics import ari_labels
+from ddce.metrics import Scores, ari_labels
+from ddce.optics import OpticsParams
 from ddce.pipeline import (
+    BaseModelArtifact,
     PipelineConfig,
     artifact_from_dict,
     artifact_to_dict,
@@ -30,7 +33,7 @@ from ddce.pipeline import (
 )
 from ddce.search import SearchSpace
 
-from conftest import make_benchmark, make_labeled
+from conftest import cosine_blobs_with_noise, make_benchmark, make_labeled
 from oracles import ref_wilcoxon
 
 
@@ -77,8 +80,6 @@ class TestTrainBaseModels:
         src, src_oracle = generate_synthetic(
             40, 2, 8, 0.4, np.random.default_rng(seed + 1), label_prefix="noise"
         )
-        from ddce.embed import EmbeddingMatrix
-
         combined = EmbeddingMatrix(
             data=np.vstack([oracle.data, src_oracle.data]),
             row_ids=oracle.row_ids + src_oracle.row_ids,
@@ -114,6 +115,38 @@ class TestInfer:
         ts = infer(d_ul, arts, cfg)
         for p in ts.partitions:
             assert p.cluster_count() >= 1
+
+
+    def test_precomputed_embeddings_share_one_neighbourhood(self, monkeypatch):
+        pts, _ = cosine_blobs_with_noise(0)
+        ids = [f"u{i}" for i in range(len(pts))]
+        embeddings = EmbeddingMatrix(data=pts, row_ids=ids)
+        d_ul = UnlabeledDataset(rows=[Utterance(id=i, text="t") for i in reversed(ids)])
+        scores = Scores(score_c=0.5, score_ari=0.5, score=0.5)
+        arts = [BaseModelArtifact(split_seed=k, params=OpticsParams(eps, 0.05, 5), val_scores=scores)
+                for k, eps in enumerate((0.2, 0.35, 0.1))]
+        cfg = fast_cfg(k_models=3)
+        radii = []
+        build = optics.pairwise_distances
+
+        def counted(x, metric, radius):
+            radii.append(radius)
+            return build(x, metric, radius)
+
+        monkeypatch.setattr(optics, "pairwise_distances", counted)
+        ts = infer(d_ul, arts, cfg, embeddings=embeddings)
+        monkeypatch.undo()
+        assert radii == [0.35]
+        rows = embeddings.rows_for_ids(d_ul.ids())
+        for art, part in zip(arts, ts.partitions):
+            alone = optics.cluster(rows, art.params, cfg.s_min, cfg.metric)
+            assert part.ids == d_ul.ids() and np.array_equal(part.labels, alone.labels)
+
+    def test_no_encoder_and_no_embeddings_rejected(self):
+        scores = Scores(score_c=0.5, score_ari=0.5, score=0.5)
+        art = BaseModelArtifact(split_seed=0, params=OpticsParams(0.2, 0.05, 5), val_scores=scores)
+        with pytest.raises(DdceError, match="base model 0 has no encoder"):
+            infer(UnlabeledDataset(rows=[]), [art], fast_cfg())
 
 
 class TestRunDdce:

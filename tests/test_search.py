@@ -88,6 +88,26 @@ class TestRandomSearch:
             part = optics.cluster_with_distances(D, e_hs.row_ids, trial.params, 2)
             assert trial.scores == metrics.score(truth, part)
 
+    def test_trial_partitions_equal_cluster_at_own_max_eps(self, monkeypatch):
+        # The search shares one structure at the range end; each trial must
+        # still see only the pairs within its own max_eps.
+        truth, e_hs = synthetic_validation(5)
+        parts = []
+        shared = optics.cluster_with_distances
+
+        def record(*args, **kwargs):
+            parts.append(shared(*args, **kwargs))
+            return parts[-1]
+
+        monkeypatch.setattr(optics, "cluster_with_distances", record)
+        result = random_search(e_hs, truth, SearchSpace(n_trials=12), 2, seed=6)
+        monkeypatch.undo()
+        assert len(parts) == 12
+        for trial, part in zip(result.trials, parts):
+            alone = optics.cluster(e_hs, trial.params, 2)
+            assert part.ids == alone.ids and np.array_equal(part.labels, alone.labels)
+        assert len({p.cluster_count() for p in parts}) > 1
+
     def test_collapsed_space_all_trials_identical(self):
         truth, e_hs = synthetic_validation(1)
         space = SearchSpace(
