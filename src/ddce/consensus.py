@@ -108,13 +108,6 @@ def _incidence(ts: PartitionSet) -> np.ndarray:
     return np.hstack(columns).astype(float)
 
 
-def co_association(ts: PartitionSet) -> np.ndarray:
-    """n x n matrix of fractions of base models co-clustering each pair;
-    outlier labels never co-associate."""
-    H = _incidence(ts)
-    return H @ H.T / ts.k
-
-
 def cspa(ts: PartitionSet) -> Partition:
     """Cluster-based similarity partitioning: average-linkage consensus on
     the co-association matrix. Samples co-clustered with nobody in any
@@ -203,11 +196,6 @@ def hgpa(ts: PartitionSet, seed: int = 0, k: int | None = None) -> Partition:
         if best_cut == 0:
             break
     return Partition(labels=canonicalize_labels(best_part), ids=ts.ids)
-
-
-def hyperedge_cut(ts: PartitionSet, labels: np.ndarray) -> int:
-    """Number of hyperedges spanning more than one part under ``labels``."""
-    return _cut(_incidence(ts), labels)
 
 
 def mcla(ts: PartitionSet) -> Partition:

@@ -3,10 +3,12 @@ extraction from the reachability plot, and the minimum-cluster-size
 outlier rule.
 
 All tie-breaking is deterministic (smallest index wins) so ensemble runs
-are exactly reproducible. Neighbor search is brute force over every pair,
-computed once; only the pairs within max_eps are kept, so memory scales
-with their number, not with n². The intended scale is thousands of points,
-not millions.
+are exactly reproducible. Neighbor search builds the ε-neighbourhood
+exactly: a blocked matrix product picks the candidate pairs, with a
+margin from the floating-point error bound, and only those are evaluated
+by the exact per-pair expression. Only the pairs within max_eps are kept,
+so memory scales with their number, not with n². The intended scale is
+thousands of points, not millions.
 """
 
 from __future__ import annotations
@@ -103,32 +105,133 @@ class Neighbourhood:
         return (n, n)
 
 
+# A block of rows holds at most this many float64 approximations (1 MB).
+_BLOCK_ELEMENTS = 2**17
+# A chunk of candidate pairs gathers at most this many float64 values
+# (256 kB), so that the gather, product and sum stay in cache.
+_GATHER_ELEMENTS = 2**15
+_U = np.finfo(float).eps / 2  # unit roundoff
+_TINY = np.finfo(float).smallest_subnormal
+
+
+def _gamma(m: int) -> float:
+    """Higham's γ_m = m·u / (1 - m·u), the relative error bound of an
+    m-term floating-point sum."""
+    return m * _U / (1.0 - m * _U)
+
+
+def _exact_distances(x: np.ndarray, i: np.ndarray, j: np.ndarray, cosine: bool) -> np.ndarray:
+    """d(i[p], j[p]) for each pair p, by the per-row expression. A row's
+    reduction does not depend on the other rows in the array, so each
+    value is bitwise what a full row of the distance matrix holds."""
+    out = np.empty(len(i))
+    step = max(1, _GATHER_ELEMENTS // max(x.shape[1], 1))
+    for s in range(0, len(i), step):
+        xi = np.take(x, i[s:s + step], axis=0)
+        xj = np.take(x, j[s:s + step], axis=0)
+        if cosine:
+            out[s:s + step] = np.maximum(0.0, 1.0 - (xj * xi).sum(axis=1))
+        else:
+            out[s:s + step] = np.sqrt(((xj - xi) ** 2).sum(axis=1))
+    return out
+
+
+def _pairs_within(
+    x: np.ndarray, a: int, b: int, radius: float, sq: np.ndarray, bound: float, cosine: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs i < j within ``radius`` whose row i is in [a, b), as row
+    indices, column indices and distances in (i, j) order. The candidates
+    are the pairs whose approximation is not above ``bound``: see
+    :func:`pairwise_distances`."""
+    n = len(x)
+    if radius == np.inf:
+        near = np.ones((b - a, n - a), dtype=bool)
+    else:
+        approx = x[a:b] @ x[a:].T
+        if cosine:
+            np.subtract(1.0, approx, out=approx)
+        else:
+            approx *= -2.0
+            approx += sq[a:b, None]
+            approx += sq[a:]
+        near = ~(approx > bound)
+    r, c = np.divmod(np.flatnonzero(near), n - a)
+    above = c > r
+    i, j = r[above] + a, c[above] + a
+    dist = _exact_distances(x, i, j, cosine)
+    kept = dist <= radius
+    return i[kept], j[kept], dist[kept]
+
+
 def pairwise_distances(x: np.ndarray, metric: str, radius: float = np.inf) -> Neighbourhood:
     """The pairs of rows of ``x`` within ``radius``. Cosine is 1 - dot of
     L2-normalized rows (clamped at 0, self-distance 0); euclidean is the
     usual norm.
 
-    Row i computes only the columns j > i; d(j, i) is the same value,
-    bitwise, so it is mirrored into row j rather than computed again.
-    Memory scales with the number of pairs within ``radius``, not n².
+    Each pair j > i is computed once and mirrored into row j. Rows are
+    walked in blocks of ``2**17 // n`` rows, so that one block's values
+    take 1 MB. For each block one matrix product approximates every
+    column j >= a: ``1 - xn[a:b] @ xn[a:].T`` for cosine, and
+    |x|² + |y|² - 2 x·y, the squared distance, for euclidean. Only the
+    pairs j > i that the approximation cannot rule out are evaluated with
+    the exact per-row expression. At radius infinity every pair is a
+    candidate and the product is skipped. Memory scales with the number
+    of pairs within ``radius``, not n².
+
+    The filter never drops a pair the exact expression keeps. With u the
+    unit roundoff and γ_m = m·u / (1 - m·u), a length-d dot product
+    summed in any order, BLAS included, is within γ_d·Σ|x_k y_k| <=
+    γ_d·|x|·|y| of the exact one (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, §3.1). Rounding to nearest is monotone,
+    so a computed value below a real bound stays below any float above it.
+
+    - Cosine, radius r: the exact expression's dot s and the product's s'
+      are each within γ_d·M of the exact dot, M the largest squared norm
+      of a row of xn. A kept pair has fl(1 - s) <= r, so
+      1 - s <= r(1 + u) and 1 - s' <= r(1 + u) + 2γ_d·M. The candidates
+      are the pairs with fl(1 - s') <= r + τ, τ = 2γ_{d+2}·M + 4u·r. The
+      slack of γ_{d+2} over γ_d and of 4u over u covers rounding in M and
+      in r + τ.
+    - Euclidean: with S = |x|² + |y|² and D² <= 2S the exact squared
+      distance, each squared difference is within γ_3 of exact, so the
+      exact expression's sum q is within γ_{d+2}·D² <= 2γ_{d+2}·S of D²,
+      and a kept pair has q <= r²(1 + 3u). The approximation lowers each
+      squared norm by the factor 1 - 8γ_{d+2}; computed, it is within
+      (2γ_d + 7u)·S of D² - 8γ_{d+2}·S, hence at most q. The candidates
+      are the pairs whose approximation is at most r²(1 + 8u) plus
+      8(d + 2) smallest subnormals, for products that underflow.
+
+    A NaN approximation (overflow) counts as a candidate. A looser bound
+    only costs time; a tighter one could drop pairs at the radius.
     """
     if metric not in METRICS:
         raise DdceError(f"unknown metric {metric!r}, expected one of {METRICS}")
-    n = x.shape[0]
-    if metric == "cosine":
-        xn = normalize_rows(x)
-    upper = []  # row i: (columns j > i within radius, their distances)
+    x = np.asarray(x, dtype=float)
+    n, dim = x.shape
+    cosine = metric == "cosine"
+    if cosine:
+        x = normalize_rows(x)
+    sq = (x * x).sum(axis=1)
+    if cosine:
+        bound = radius + 2 * _gamma(dim + 2) * sq.max(initial=0.0) + 4 * _U * radius
+    else:
+        sq *= 1.0 - 8 * _gamma(dim + 2)
+        bound = radius * radius * (1 + 8 * _U) + 8 * (dim + 2) * _TINY
+    block = max(1, _BLOCK_ELEMENTS // max(n, 1))
+    # Until assembly the columns are held as int32, half the bytes of intp;
+    # at a radius that covers most pairs that is about 8% of the peak.
+    col_type = np.int32 if n <= np.iinfo(np.int32).max else np.intp
+    # Per block: first row, each row's end offset, and the columns j > i
+    # within the radius with their distances, in (i, j) order.
+    blocks = []
     row_len = np.ones(n, dtype=np.intp)  # i itself
-    for i in range(n):
-        if metric == "cosine":
-            d = np.maximum(0.0, 1.0 - (xn[i + 1:] * xn[i]).sum(axis=1))
-        else:
-            d = np.sqrt(((x[i + 1:] - x[i]) ** 2).sum(axis=1))
-        keep = np.flatnonzero(d <= radius)
-        cols = keep + (i + 1)
-        upper.append((cols, d[keep]))
-        row_len[i] += len(cols)
-        row_len[cols] += 1
+    for a in range(0, n, block):
+        b = min(a + block, n)
+        i, j, dist = _pairs_within(x, a, b, radius, sq, bound, cosine)
+        counts = np.bincount(i - a, minlength=b - a)
+        row_len[a:b] += counts
+        row_len += np.bincount(j, minlength=n)
+        blocks.append((a, np.cumsum(counts).tolist(), j.astype(col_type), dist))
     indptr = np.concatenate([[0], np.cumsum(row_len)])
     indices = np.empty(indptr[-1], dtype=np.intp)
     distances = np.empty(indptr[-1])
@@ -136,21 +239,28 @@ def pairwise_distances(x: np.ndarray, metric: str, radius: float = np.inf) -> Ne
     # order, so that part arrives in index order and row i is complete
     # once its own columns j > i are written.
     fill = indptr[:-1].copy()
-    for i in range(n):
-        cols, d = upper[i]
-        upper[i] = None
-        start, mid, end = indptr[i], fill[i], indptr[i + 1]
-        indices[mid] = i
-        distances[mid] = 0.0
-        indices[mid + 1:end] = cols
-        distances[mid + 1:end] = d
-        at = fill[cols]
-        indices[at] = i
-        distances[at] = d
-        fill[cols] += 1
-        by_distance = np.argsort(distances[start:end], kind="stable")
-        indices[start:end] = indices[start:end][by_distance]
-        distances[start:end] = distances[start:end][by_distance]
+    for a, ends, block_cols, block_dist in blocks:
+        for i, lo, hi in zip(range(a, n), [0] + ends, ends):
+            cols, d = block_cols[lo:hi], block_dist[lo:hi]
+            start, mid, end = indptr[i], fill[i], indptr[i + 1]
+            indices[mid] = i
+            distances[mid] = 0.0
+            indices[mid + 1:end] = cols
+            distances[mid + 1:end] = d
+            at = fill[cols]
+            indices[at] = i
+            distances[at] = d
+            fill[cols] += 1
+            # The row is in index order, so a stable sort gives (distance,
+            # index) order; without equal distances every sort gives it.
+            row = distances[start:end]
+            by_distance = np.argsort(row)
+            ordered = row[by_distance]
+            if (ordered[1:] == ordered[:-1]).any():
+                by_distance = np.argsort(row, kind="stable")
+                ordered = row[by_distance]
+            indices[start:end] = indices[start:end][by_distance]
+            distances[start:end] = ordered
     return Neighbourhood(indptr=indptr, indices=indices, distances=distances, radius=radius)
 
 

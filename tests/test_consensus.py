@@ -3,16 +3,16 @@ import pytest
 
 from ddce.consensus import (
     PartitionSet,
+    _cut,
+    _incidence,
     average_linkage_labels,
     bok,
     bokv,
     bokv_with_details,
     chm,
     chm_with_details,
-    co_association,
     cspa,
     hgpa,
-    hyperedge_cut,
     k_target,
     mcla,
     nmi_sum,
@@ -32,6 +32,18 @@ from oracles import (
     ref_hgpa,
     ref_hyperedges,
 )
+
+
+def co_association(ts):
+    """Fraction of the base models co-clustering each pair, as CSPA builds
+    it from the incidence matrix."""
+    H = _incidence(ts)
+    return H @ H.T / ts.k
+
+
+def hyperedge_cut(ts, labels):
+    """Hyperedges spanning more than one part, as HGPA counts them."""
+    return _cut(_incidence(ts), labels)
 
 
 def P(labels, n=None):

@@ -14,7 +14,6 @@ from ddce.optics import (
     canonicalize_labels,
     cluster,
     cluster_with_distances,
-    Neighbourhood,
     compute_ordering,
     extract_xi_clusters,
     filter_small_clusters,
@@ -84,6 +83,46 @@ def neighbourhood_cases():
     }
 
 
+def dense_rows(data, metric, radius):
+    """indptr, indices and distances read off the dense matrix: row i holds
+    each j with D[i, j] <= radius, in (distance, index) order."""
+    D = dense_distances(data, metric)
+    rows = [sorted((D[i, j], j) for j in np.flatnonzero(D[i] <= radius)) for i in range(len(D))]
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    indices = np.array([j for row in rows for _, j in row], dtype=np.intp)
+    distances = np.array([d for row in rows for d, _ in row], dtype=float)
+    return indptr, indices, distances
+
+
+def assert_same_as_dense_rows(data, metric, radius):
+    nbrs = pairwise_distances(data, metric, radius)
+    indptr, indices, distances = dense_rows(data, metric, radius)
+    assert nbrs.indptr.tolist() == indptr.tolist()
+    assert nbrs.indices.tolist() == indices.tolist()
+    assert nbrs.distances.tobytes() == distances.tobytes()
+
+
+def boundary_case(seed):
+    """Rows at the candidate filter's edges: rounded coordinates (tied
+    distances), duplicates, rows one ulp from another, all-zero rows, at
+    scales 1e-3 to 1e3 and d up to 300."""
+    rng = np.random.default_rng(500 + seed)
+    n = int(rng.integers(2, 41))
+    d = int(rng.choice([1, 2, 3, 8, 17, 64, 300]))
+    data = rng.normal(size=(n, d)) * 10.0 ** int(rng.integers(-3, 4))
+    some = rng.integers(0, n, size=max(1, n // 2))
+    kind = seed % 5
+    if kind == 1:
+        data = np.round(data, 1)
+    elif kind == 2:
+        data[some] = data[0]
+    elif kind == 3:
+        data[some] = np.nextafter(data[0], np.inf)
+    elif kind == 4:
+        data[some] = 0.0
+    return data
+
+
 class TestNeighbourhood:
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
     @pytest.mark.parametrize("case", sorted(neighbourhood_cases()))
@@ -109,6 +148,44 @@ class TestNeighbourhood:
     def test_unknown_metric_rejected(self):
         with pytest.raises(DdceError, match="unknown metric"):
             pairwise_distances(np.ones((2, 2)), "manhattan")
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    @pytest.mark.parametrize("seed", range(30))
+    def test_boundary_battery_matches_dense_rows(self, metric, seed):
+        # Radii equal to actual pair distances put pairs exactly on the
+        # boundary, where a candidate filter without its error margin
+        # drops them.
+        data = boundary_case(seed)
+        pair = dense_distances(data, metric)[np.triu_indices(len(data), 1)]
+        picked = np.random.default_rng(seed).choice(pair, size=4).tolist()
+        for radius in [0.0, np.inf, pair.min(), pair.max(), *picked]:
+            assert_same_as_dense_rows(data, metric, radius)
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_long_runs_of_equal_distances_stay_in_index_order(self, metric):
+        # Three points, each repeated about 100 times in shuffled order:
+        # every row is three runs of equal distances.
+        rng = np.random.default_rng(8)
+        data = rng.normal(size=(3, 5))[rng.integers(0, 3, size=300)]
+        middle = float(np.median(dense_distances(data, metric)))
+        for radius in (0.0, middle, np.inf):
+            assert_same_as_dense_rows(data, metric, radius)
+
+    def test_memory_holds_one_block(self):
+        # 6000 rows in tight groups of 10, so the structure takes about
+        # 1 MB. The approximations of one 4 MB block alone would exceed
+        # the bound.
+        rng = np.random.default_rng(4)
+        centers = normalize_rows(rng.normal(size=(600, 16)))
+        data = np.repeat(centers, 10, axis=0) + rng.normal(0.0, 0.002, size=(6000, 16))
+        tracemalloc.start()
+        try:
+            nbrs = pairwise_distances(data, "cosine", 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert nbrs.indptr[-1] == 6000 * 10
+        assert peak < 2**19 * 8
 
 
 class TestComputeOrdering:
