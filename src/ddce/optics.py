@@ -144,17 +144,14 @@ def _pairs_within(
     are the pairs whose approximation is not above ``bound``: see
     :func:`pairwise_distances`."""
     n = len(x)
-    if radius == np.inf:
-        near = np.ones((b - a, n - a), dtype=bool)
+    approx = x[a:b] @ x[a:].T
+    if cosine:
+        np.subtract(1.0, approx, out=approx)
     else:
-        approx = x[a:b] @ x[a:].T
-        if cosine:
-            np.subtract(1.0, approx, out=approx)
-        else:
-            approx *= -2.0
-            approx += sq[a:b, None]
-            approx += sq[a:]
-        near = ~(approx > bound)
+        approx *= -2.0
+        approx += sq[a:b, None]
+        approx += sq[a:]
+    near = ~(approx > bound)
     r, c = np.divmod(np.flatnonzero(near), n - a)
     above = c > r
     i, j = r[above] + a, c[above] + a
@@ -174,9 +171,8 @@ def pairwise_distances(x: np.ndarray, metric: str, radius: float = np.inf) -> Ne
     column j >= a: ``1 - xn[a:b] @ xn[a:].T`` for cosine, and
     |x|² + |y|² - 2 x·y, the squared distance, for euclidean. Only the
     pairs j > i that the approximation cannot rule out are evaluated with
-    the exact per-row expression. At radius infinity every pair is a
-    candidate and the product is skipped. Memory scales with the number
-    of pairs within ``radius``, not n².
+    the exact per-row expression. Memory scales with the number of pairs
+    within ``radius``, not n².
 
     The filter never drops a pair the exact expression keeps. With u the
     unit roundoff and γ_m = m·u / (1 - m·u), a length-d dot product
@@ -201,7 +197,8 @@ def pairwise_distances(x: np.ndarray, metric: str, radius: float = np.inf) -> Ne
       are the pairs whose approximation is at most r²(1 + 8u) plus
       8(d + 2) smallest subnormals, for products that underflow.
 
-    A NaN approximation (overflow) counts as a candidate. A looser bound
+    A NaN approximation (overflow) counts as a candidate, and at radius
+    infinity the bound is infinite, so every pair is one. A looser bound
     only costs time; a tighter one could drop pairs at the radius.
     """
     if metric not in METRICS:
@@ -219,8 +216,8 @@ def pairwise_distances(x: np.ndarray, metric: str, radius: float = np.inf) -> Ne
         bound = radius * radius * (1 + 8 * _U) + 8 * (dim + 2) * _TINY
     block = max(1, _BLOCK_ELEMENTS // max(n, 1))
     # Until assembly the columns are held as int32, half the bytes of intp;
-    # at a radius that covers most pairs that is about 8% of the peak.
-    col_type = np.int32 if n <= np.iinfo(np.int32).max else np.intp
+    # at a radius that covers most pairs that is about 8% of the peak. An
+    # O(n²) build never sees 2**31 rows.
     # Per block: first row, each row's end offset, and the columns j > i
     # within the radius with their distances, in (i, j) order.
     blocks = []
@@ -231,7 +228,7 @@ def pairwise_distances(x: np.ndarray, metric: str, radius: float = np.inf) -> Ne
         counts = np.bincount(i - a, minlength=b - a)
         row_len[a:b] += counts
         row_len += np.bincount(j, minlength=n)
-        blocks.append((a, np.cumsum(counts).tolist(), j.astype(col_type), dist))
+        blocks.append((a, np.cumsum(counts).tolist(), j.astype(np.int32), dist))
     indptr = np.concatenate([[0], np.cumsum(row_len)])
     indices = np.empty(indptr[-1], dtype=np.intp)
     distances = np.empty(indptr[-1])

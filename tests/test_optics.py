@@ -83,23 +83,24 @@ def neighbourhood_cases():
     }
 
 
-def dense_rows(data, metric, radius):
-    """indptr, indices and distances read off the dense matrix: row i holds
-    each j with D[i, j] <= radius, in (distance, index) order."""
-    D = dense_distances(data, metric)
-    rows = [sorted((D[i, j], j) for j in np.flatnonzero(D[i] <= radius)) for i in range(len(D))]
-    indptr = np.cumsum([0] + [len(row) for row in rows])
-    indices = np.array([j for row in rows for _, j in row], dtype=np.intp)
-    distances = np.array([d for row in rows for d, _ in row], dtype=float)
-    return indptr, indices, distances
-
-
-def assert_same_as_dense_rows(data, metric, radius):
+def assert_rows_match_dense(data, metric, radius):
+    """The structure at ``radius`` against the dense matrix: each pair
+    within the radius exactly once, none beyond it, the same distance
+    bytes, rows in (distance, index) order and each row's self at 0.0."""
+    n = len(data)
     nbrs = pairwise_distances(data, metric, radius)
-    indptr, indices, distances = dense_rows(data, metric, radius)
-    assert nbrs.indptr.tolist() == indptr.tolist()
-    assert nbrs.indices.tolist() == indices.tolist()
-    assert nbrs.distances.tobytes() == distances.tobytes()
+    D = dense_distances(data, metric)
+    assert nbrs.shape == (n, n) and nbrs.radius == radius
+    assert len(nbrs.indptr) == n + 1 and nbrs.indptr[0] == 0
+    assert nbrs.indptr[-1] == len(nbrs.indices) == len(nbrs.distances)
+    for i in range(n):
+        row = slice(nbrs.indptr[i], nbrs.indptr[i + 1])
+        j, d = nbrs.indices[row], nbrs.distances[row]
+        assert sorted(j.tolist()) == np.flatnonzero(D[i] <= radius).tolist()
+        assert d.tobytes() == D[i, j].tobytes()
+        pairs = list(zip(d.tolist(), j.tolist()))
+        assert pairs == sorted(pairs)
+        assert d[j == i].tolist() == [0.0]
 
 
 def boundary_case(seed):
@@ -128,22 +129,7 @@ class TestNeighbourhood:
     @pytest.mark.parametrize("case", sorted(neighbourhood_cases()))
     @pytest.mark.parametrize("radius", [0.0, 0.3, 1.0, np.inf])
     def test_rows_match_dense_distances(self, metric, case, radius):
-        data = neighbourhood_cases()[case]
-        n = len(data)
-        nbrs = pairwise_distances(data, metric, radius)
-        D = dense_distances(data, metric)
-        assert nbrs.shape == (n, n) and nbrs.radius == radius
-        assert len(nbrs.indptr) == n + 1 and nbrs.indptr[0] == 0
-        assert nbrs.indptr[-1] == len(nbrs.indices) == len(nbrs.distances)
-        for i in range(n):
-            row = slice(nbrs.indptr[i], nbrs.indptr[i + 1])
-            j, d = nbrs.indices[row], nbrs.distances[row]
-            # Each pair within the radius exactly once, none beyond it.
-            assert sorted(j.tolist()) == np.flatnonzero(D[i] <= radius).tolist()
-            assert d.tobytes() == D[i, j].tobytes()
-            pairs = list(zip(d.tolist(), j.tolist()))
-            assert pairs == sorted(pairs)  # (distance, index) order
-            assert d[j == i].tolist() == [0.0]
+        assert_rows_match_dense(neighbourhood_cases()[case], metric, radius)
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(DdceError, match="unknown metric"):
@@ -159,7 +145,7 @@ class TestNeighbourhood:
         pair = dense_distances(data, metric)[np.triu_indices(len(data), 1)]
         picked = np.random.default_rng(seed).choice(pair, size=4).tolist()
         for radius in [0.0, np.inf, pair.min(), pair.max(), *picked]:
-            assert_same_as_dense_rows(data, metric, radius)
+            assert_rows_match_dense(data, metric, radius)
 
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
     def test_long_runs_of_equal_distances_stay_in_index_order(self, metric):
@@ -169,7 +155,7 @@ class TestNeighbourhood:
         data = rng.normal(size=(3, 5))[rng.integers(0, 3, size=300)]
         middle = float(np.median(dense_distances(data, metric)))
         for radius in (0.0, middle, np.inf):
-            assert_same_as_dense_rows(data, metric, radius)
+            assert_rows_match_dense(data, metric, radius)
 
     def test_memory_holds_one_block(self):
         # 6000 rows in tight groups of 10, so the structure takes about
