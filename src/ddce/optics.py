@@ -35,8 +35,8 @@ class OpticsParams:
             raise DdceError(f"max_eps must be finite and > 0, got {self.max_eps}")
         if not 0.0 < self.xi < 1.0:
             raise DdceError(f"xi must be in (0, 1), got {self.xi}")
-        if self.min_samples < 2:
-            raise DdceError(f"min_samples must be >= 2, got {self.min_samples}")
+        if not 2 <= self.min_samples < 2**63:  # offsets into the int64 rows
+            raise DdceError(f"min_samples must be in [2, 2**63), got {self.min_samples}")
 
 
 @dataclass(frozen=True)
@@ -273,18 +273,17 @@ def compute_ordering(
     n = nbrs.shape[0]
     indptr, indices, distances = nbrs.indptr, nbrs.indices, nbrs.distances
     starts = indptr[:-1]
-    # Core distance counts the point itself among its neighbors. A row with
-    # fewer than min_samples entries has its min_samples-th neighbor beyond
-    # the radius, so beyond max_eps: no core distance.
-    k = params.min_samples
-    has_k = indptr[1:] - starts >= k
-    kth = np.full(n, np.inf)
-    kth[has_k] = distances[starts[has_k] + (k - 1)]
-    core = np.where(kth <= params.max_eps, kth, np.inf)
     # Rows are in distance order, so the neighbors within max_eps are a
     # prefix of each row: it ends at the row's first entry beyond max_eps.
     beyond = np.append(np.flatnonzero(distances > params.max_eps), len(distances))
     ends = np.minimum(beyond[np.searchsorted(beyond, starts)], indptr[1:])
+    # Core distance counts the point itself among its neighbors: it is the
+    # min_samples-th entry of the prefix, and there is none when the prefix
+    # is shorter.
+    k = params.min_samples
+    has_core = ends - starts >= k
+    core = np.full(n, np.inf)
+    core[has_core] = distances[starts[has_core] + k - 1]
 
     reach = np.empty(n)
     pred = np.full(n, -1, dtype=int)
@@ -292,11 +291,12 @@ def compute_ordering(
     core_list = core.tolist()
     lo_list = starts.tolist()
     hi_list = ends.tolist()
-    # Tentative reachability of the open points (inf elsewhere), the number
-    # of them, and the best reachability so far of each point, -inf once
-    # processed so that no candidate improves on it.
+    # Tentative reachability of the open points (inf elsewhere), and the
+    # best reachability so far of each point, -inf once processed so that
+    # no candidate improves on it. An open point's tentative reachability
+    # is max(core, d) <= max_eps, so it is finite: a smallest value of inf
+    # means that no point is open.
     open_reach = np.full(n, inf)
-    n_open = 0
     best = np.full(n, inf)
     order = []
     for start in range(n):
@@ -312,21 +312,17 @@ def compute_ordering(
                 lo, hi = lo_list[current], hi_list[current]
                 nb = indices[lo:hi]
                 cand = np.maximum(c, distances[lo:hi])
-                old = best[nb]
-                better = cand < old
-                # cand is finite, so every unreached neighbor improves.
-                n_open += int(np.count_nonzero(old == inf))
+                better = cand < best[nb]
                 upd = nb[better]
                 val = cand[better]
                 open_reach[upd] = val
                 best[upd] = val
                 pred[upd] = current
-            if n_open == 0:
-                break
             # Smallest tentative reachability, ties to the smallest index.
             current = int(open_reach.argmin())
+            if open_reach[current] == inf:
+                break
             open_reach[current] = inf
-            n_open -= 1
     return ReachabilityOrdering(
         order=np.array(order, dtype=int), reachability=reach, core_distance=core,
         predecessor=pred, ids=list(ids),
@@ -434,10 +430,8 @@ def extract_xi_clusters(ordering: ReachabilityOrdering, xi: float, min_samples: 
     r = ordering.reachability[ordering.order]
     cands = _xi_candidate_clusters(r, xi, min_samples)
     by_size = sorted(cands, key=lambda c: c[1] - c[0], reverse=True)
-    pos_labels = np.full(n, -1, dtype=int)
     for lab, (s, e) in enumerate(by_size):
-        pos_labels[s : e + 1] = lab
-    labels[ordering.order] = pos_labels
+        labels[ordering.order[s : e + 1]] = lab
     return Partition(labels=canonicalize_labels(labels), ids=list(ordering.ids))
 
 

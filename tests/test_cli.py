@@ -1,7 +1,11 @@
+import hashlib
+import importlib.util
 import json
 import os
 import struct
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,6 +113,22 @@ class TestClusterCommand:
         rows = [json.loads(x) for x in open(os.path.join(cl_out, "partition.jsonl"))]
         assert len(rows) == 30
         assert {r["cluster"] for r in rows} - {-1}
+
+    def test_cluster_large_partition_bytes(self, tmp_path, monkeypatch):
+        """The benchmark's seed-1 cluster-large output is pinned byte for
+        byte. Its bytes come from elementwise numpy (the matrix product only
+        selects candidates), so they do not depend on the BLAS build."""
+        path = Path(__file__).parent.parent / "perfbench" / "gen.py"
+        spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+        gen = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look it up
+        spec.loader.exec_module(gen)
+        in_dir, out_dir = str(tmp_path / "in"), str(tmp_path / "out")
+        gen.generate("cluster-large", 1, in_dir)
+        assert main(gen.cli_argv("cluster-large", 1, in_dir, out_dir)) == 0
+        with open(os.path.join(out_dir, "partition.jsonl"), "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert digest == "9a06b08ab5af52ac8296f0c442e10b72c7046ccb7ebab94af6cf9348a26af655"
 
 
 class TestEnsembleCommand:
@@ -318,6 +338,21 @@ class TestMalformedInputs:
             code = run("cluster", "--embeddings", path, "--max-eps", "0.4", "--xi", "0.05",
                        "--min-samples", "2", "--out", str(tmp_path / "x"))
         assert path in self._assert_one_error(code, capsys)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-eps", "nan"),
+        ("--xi", "1.0"),
+        ("--min-samples", "1"),
+        ("--min-samples", "100000000000000000000"),  # overflowed the row offsets
+    ])
+    def test_cluster_parameter_out_of_range(self, tmp_path, capsys, flag, value):
+        path = str(tmp_path / "x.emb1")
+        save_embeddings(EmbeddingMatrix(data=np.eye(3), row_ids=["a", "b", "c"]), path)
+        args = {"--max-eps": "0.4", "--xi": "0.05", "--min-samples": "2", flag: value}
+        code = run("cluster", "--embeddings", path, *(x for kv in args.items() for x in kv),
+                   "--out", str(tmp_path / "x"))
+        assert flag[2:].replace("-", "_") in self._assert_one_error(code, capsys)
+        assert not os.path.exists(tmp_path / "x" / "partition.jsonl")
 
     def test_emb1_repeated_id(self, tmp_path, capsys):
         """A repeated id would reach partition.jsonl, which evaluate rejects."""

@@ -174,6 +174,25 @@ class TestNeighbourhood:
         assert peak < 2**19 * 8
 
 
+class TestOpticsParams:
+    @pytest.mark.parametrize("max_eps, xi, min_samples, name", [
+        (0.0, 0.05, 2, "max_eps"),
+        (np.inf, 0.05, 2, "max_eps"),
+        (0.5, 1.0, 2, "xi"),
+        (0.5, 0.05, 1, "min_samples"),
+        (0.5, 0.05, 2**63, "min_samples"),  # past the int64 row offsets
+        (0.5, 0.05, 10**20, "min_samples"),
+    ])
+    def test_out_of_range_rejected(self, max_eps, xi, min_samples, name):
+        with pytest.raises(DdceError, match=name):
+            OpticsParams(max_eps, xi, min_samples)
+
+    def test_largest_min_samples_gives_no_core_point(self):
+        got = ordering_of(np.zeros((3, 2)), OpticsParams(1.0, 0.05, 2**63 - 1), "euclidean")
+        assert np.all(np.isinf(got.core_distance))
+        assert got.order.tolist() == [0, 1, 2]
+
+
 class TestComputeOrdering:
     def test_radius_below_max_eps_rejected(self):
         data = np.random.default_rng(2).normal(size=(10, 2))
