@@ -76,20 +76,43 @@ def k_target(ts: PartitionSet) -> int:
 def average_linkage_labels(D: np.ndarray, k: int) -> np.ndarray:
     """Agglomerative clustering with average linkage on a precomputed
     distance matrix, cut at k clusters. Merge ties take the smallest
-    (row, column) pair; output labels are numbered by first appearance."""
+    (row, column) pair; output labels are numbered by first appearance.
+
+    Each row r caches its minimum ``nd[r]`` and the first column holding
+    it, ``nn[r]`` (the nearest-neighbour caching of Müllner 2011, "Modern
+    hierarchical, agglomerative clustering algorithms"). The first row
+    holding the smallest ``nd`` and its ``nn`` are then exactly the pair
+    an argmin over the whole matrix takes, so each merge costs O(n) plus
+    the rows rescanned, not O(n^2).
+
+    A merge of i < j rewrites row and column i, fills row and column j
+    with inf and leaves every other entry alone. Row i is rescanned. In
+    any other row r, with v the new value in column i, every column
+    before ``nn[r]`` held more than ``nd[r]`` and none held less:
+    - v < nd[r]: column i is the new first minimum.
+    - v == nd[r]: the minimum is unchanged. Column i takes it when
+      i < nn[r], which covers ``nn[r] == j``; when ``nn[r] == i`` the
+      cache already names it.
+    - v > nd[r]: if ``nn[r]`` is neither i nor j, that column still
+      holds the minimum and comes first. Otherwise the minimum may have
+      risen, and only these rows are rescanned, one row at a time so
+      that no block of the matrix is copied.
+    """
     n = D.shape[0]
     k = max(1, min(k, n))
     gd = np.array(D, dtype=float)
     np.fill_diagonal(gd, np.inf)
     sizes = np.ones(n)
     group_of = np.arange(n)
+    nn = gd.argmin(axis=1) if n else np.empty(0, dtype=np.intp)
+    nd = gd[np.arange(n), nn]
     for _ in range(n - k):
-        flat = int(np.argmin(gd))
-        i, j = divmod(flat, n)
+        i = int(nd.argmin())
+        j = int(nn[i])
         if i > j:
             i, j = j, i
         wi, wj = sizes[i], sizes[j]
-        merged = (wi * gd[i] + wj * gd[j]) / (wi + wj)
+        merged = (wi * gd[i] + wj * gd[j]) / (wi + wj)  # inf at i and j
         gd[i, :] = merged
         gd[:, i] = merged
         gd[i, i] = np.inf
@@ -97,6 +120,15 @@ def average_linkage_labels(D: np.ndarray, k: int) -> np.ndarray:
         gd[:, j] = np.inf
         sizes[i] = wi + wj
         group_of[group_of == j] = i
+        stale = ((nn == i) | (nn == j)) & (merged > nd)
+        take = (merged < nd) | ((merged == nd) & (i < nn))
+        nd[take] = merged[take]
+        nn[take] = i
+        nd[j] = np.inf
+        stale[[i, j]] = False
+        for r in (i, *np.flatnonzero(stale).tolist()):
+            nn[r] = gd[r].argmin()
+            nd[r] = gd[r, nn[r]]
     return canonicalize_labels(group_of)
 
 

@@ -257,6 +257,66 @@ def ref_co_association(labelsets) -> list[list[float]]:
 
 
 # ---------------------------------------------------------------------------
+# Average linkage by direct search, and MCLA from its definitions
+
+def ref_average_linkage(D, k) -> list[int]:
+    """Average-linkage agglomeration of range(n) on the distances D (any
+    n x n nested sequence; the diagonal is ignored) down to max(1, min(k,
+    n)) clusters. Clusters are sets keyed by their smallest member. Each
+    merge scans every ordered pair of active keys in (row, column) order
+    and takes the first minimal one, then gives the union of a < b the
+    Lance–Williams distance (|a| d(a, c) + |b| d(b, c)) / (|a| + |b|) to
+    every other cluster c, in both directions, in plain floats. Labels
+    are numbered by first appearance."""
+    n = len(D)
+    members = {a: {a} for a in range(n)}
+    dist = {(a, b): float(D[a][b]) for a in range(n) for b in range(n) if a != b}
+    for _ in range(n - max(1, min(k, n))):
+        best = None
+        for a in sorted(members):
+            for b in sorted(members):
+                if a != b and (best is None or dist[a, b] < dist[best]):
+                    best = (a, b)
+        a, b = sorted(best)
+        wa, wb = len(members[a]), len(members[b])
+        for c in members:
+            if c not in (a, b):
+                dist[a, c] = dist[c, a] = (wa * dist[a, c] + wb * dist[b, c]) / (wa + wb)
+        members[a] |= members.pop(b)
+    key_of = {s: key for key, group in members.items() for s in group}
+    return ref_canonicalize_labels([key_of[s] for s in range(n)])
+
+
+def ref_mcla(labelsets) -> list[int]:
+    """Meta-clustering (Strehl & Ghosh 2002) from the definitions: the
+    non-outlier clusters as member sets, in (partition, label value)
+    order; their Jaccard distances 1 - |A ∩ B| / |A ∪ B|; meta-clusters by
+    :func:`ref_average_linkage` at min(k_target, number of clusters); each
+    sample goes to the meta-cluster holding the largest fraction of its K
+    labels, the lowest meta-cluster on ties, and a sample in no cluster is
+    -1. Labels are canonicalised."""
+    n = len(labelsets[0])
+    clusters = [
+        {i for i, lab in enumerate(labels) if lab == value}
+        for labels in labelsets
+        for value in sorted({lab for lab in labels if lab != -1})
+    ]
+    counts = [len({lab for lab in labels if lab != -1}) for labels in labelsets]
+    k = max(1, math.floor(float(np.median(counts)) + 0.5))
+    jaccard = [[1.0 - len(a & b) / len(a | b) for b in clusters] for a in clusters]
+    meta = ref_average_linkage(jaccard, min(k, len(clusters)))
+    labels = []
+    for i in range(n):
+        share = Counter(meta[c] for c, members in enumerate(clusters) if i in members)
+        best = None
+        for g in sorted(share):
+            if best is None or share[g] / len(labelsets) > share[best] / len(labelsets):
+                best = g
+        labels.append(-1 if best is None else best)
+    return ref_canonicalize_labels(labels)
+
+
+# ---------------------------------------------------------------------------
 # Best of K with outlier voting, from the definitions
 
 def ref_bokv(labelsets, recalls) -> dict:

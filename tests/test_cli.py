@@ -101,6 +101,21 @@ class TestSynthInjectEvaluate:
         assert run("evaluate", "--truth", "/nope.jsonl", "--pred", "/nope2.jsonl") == 2
 
 
+def bench_partition_sha256(workload, tmp_path, monkeypatch):
+    """sha256 of ``partition.jsonl`` from the benchmark's seed-1 call of
+    ``workload``, with its inputs written by ``perfbench/gen.py``."""
+    path = Path(__file__).parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look it up
+    spec.loader.exec_module(gen)
+    in_dir, out_dir = str(tmp_path / "in"), str(tmp_path / "out")
+    gen.generate(workload, 1, in_dir)
+    assert main(gen.cli_argv(workload, 1, in_dir, out_dir)) == 0
+    with open(os.path.join(out_dir, "partition.jsonl"), "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 class TestClusterCommand:
     def test_cluster_on_emb1(self, tmp_path):
         out = str(tmp_path / "d")
@@ -118,20 +133,24 @@ class TestClusterCommand:
         """The benchmark's seed-1 cluster-large output is pinned byte for
         byte. Its bytes come from elementwise numpy (the matrix product only
         selects candidates), so they do not depend on the BLAS build."""
-        path = Path(__file__).parent.parent / "perfbench" / "gen.py"
-        spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-        gen = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look it up
-        spec.loader.exec_module(gen)
-        in_dir, out_dir = str(tmp_path / "in"), str(tmp_path / "out")
-        gen.generate("cluster-large", 1, in_dir)
-        assert main(gen.cli_argv("cluster-large", 1, in_dir, out_dir)) == 0
-        with open(os.path.join(out_dir, "partition.jsonl"), "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
+        digest = bench_partition_sha256("cluster-large", tmp_path, monkeypatch)
         assert digest == "9a06b08ab5af52ac8296f0c442e10b72c7046ccb7ebab94af6cf9348a26af655"
 
 
 class TestEnsembleCommand:
+    def test_ensemble_emb_chm_partition_bytes(self, tmp_path, monkeypatch):
+        """The benchmark's seed-1 ensemble-emb-chm output is pinned byte for
+        byte. Nothing BLAS or libm computes reaches it: OPTICS distances
+        are evaluated elementwise (the matrix product only selects
+        candidates), the search scores with recall and ARI, and the
+        consensus products of the incidence matrix hold exact integer
+        counts. CHM's choice rests on NMI, which goes through libm, but it
+        is not close: CSPA and MCLA give the same labels (NMI sum 4.984,
+        an exact tie that CSPA wins) and HGPA sums to 0.714. report.json
+        holds those NMI floats and is not pinned."""
+        digest = bench_partition_sha256("ensemble-emb-chm", tmp_path, monkeypatch)
+        assert digest == "55fa2839f65967144d09cfc4d5763fe861bbb5e411937ce8e0135ee8d062fa77"
+
     def test_ensemble_writes_outputs(self, workspace, capsys):
         code = run("ensemble", "--labeled", workspace["labeled"],
                    "--unlabeled", workspace["unlabeled"],

@@ -27,10 +27,12 @@ from oracles import (
     balanced_splits,
     hyperedge_cut_value,
     partitions_into_k,
+    ref_average_linkage,
     ref_bokv,
     ref_co_association,
     ref_hgpa,
     ref_hyperedges,
+    ref_mcla,
 )
 
 
@@ -307,6 +309,13 @@ class TestHgpaOracle:
             assert hgpa(ts, seed=seed, k=k).labels.tolist() == ref_hgpa(labelsets, seed, k)
 
 
+class TestMclaOracle:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_definition(self, seed):
+        labelsets = random_labelsets(seed)
+        assert mcla(TS(labelsets)).labels.tolist() == ref_mcla(labelsets)
+
+
 class TestChm:
     def test_identical_partitions(self):
         ts = TS([IDENTICAL] * 3)
@@ -533,3 +542,60 @@ class TestAverageLinkage:
         assert average_linkage_labels(D, 5).tolist() == [0, 1, 2]
         empty = average_linkage_labels(np.empty((0, 0)), 5)
         assert empty.dtype == np.int64 and empty.size == 0
+
+    def test_average_rounding_onto_a_row_minimum(self):
+        # Row 0's nearest is 2 (0.5 against 0.5 + ulp). Merging 1 and 2
+        # gives (0.5 + ulp + 0.5) / 2, which rounds to 0.5: row 0 keeps its
+        # minimum but must move its nearest column to the merged cluster 1.
+        up = np.nextafter(0.5, 1.0)
+        D = np.array([[0.0, up, 0.5], [up, 0.0, 0.1], [0.5, 0.1, 0.0]])
+        assert (up + 0.5) / 2 == 0.5
+        assert average_linkage_labels(D, 2).tolist() == [0, 1, 1]
+        assert average_linkage_labels(D, 1).tolist() == [0, 0, 0]
+
+
+def linkage_case(seed: int) -> tuple[np.ndarray, int]:
+    """A distance matrix and a cut k from 1 to n + 2. Seeds cycle through
+    co-association distances of :func:`random_labelsets` (ties at
+    multiples of 1/K), random symmetric distances, symmetric distances in
+    quarters (ties everywhere), the same with some entries one ulp above
+    their quarter (an average of the two can round onto a row's minimum),
+    and n = 0 or n = 1."""
+    rng = np.random.default_rng(3000 + seed)
+    kind = seed % 5
+    if kind == 0:
+        D = 1.0 - np.array(ref_co_association(random_labelsets(seed)))
+    else:
+        n = int(rng.integers(0, 2)) if kind == 4 else int(rng.integers(2, 41))
+        A = rng.random((n, n))
+        if kind == 1:
+            D = (A + A.T) / 2
+        else:
+            D = np.floor(A * 4) / 4 + 0.25
+            if kind == 3:
+                D = np.where(rng.random((n, n)) < 0.5, np.nextafter(D, np.inf), D)
+            D = np.maximum(D, D.T)
+    np.fill_diagonal(D, 0.0)
+    return D, int(rng.integers(1, len(D) + 3))
+
+
+class TestAverageLinkageOracle:
+    @pytest.mark.parametrize("seed", range(120))
+    def test_matches_direct_search(self, seed):
+        D, k = linkage_case(seed)
+        labels = average_linkage_labels(D, k)
+        assert labels.dtype == np.int64
+        assert labels.tolist() == ref_average_linkage(D.tolist(), k)
+
+    @pytest.mark.parametrize("seed", [s for s in range(120) if s % 5 in (0, 3)])
+    def test_every_cut_of_a_tied_matrix(self, seed):
+        """Every k from 1 to n + 1 on one tie-heavy matrix."""
+        D, _ = linkage_case(seed)
+        for k in range(1, len(D) + 2):
+            assert average_linkage_labels(D, k).tolist() == ref_average_linkage(D.tolist(), k)
+
+    def test_battery_covers_small_and_large_cuts(self):
+        cases = [linkage_case(seed) for seed in range(120)]
+        assert {len(D) for D, _ in cases} >= {0, 1}
+        assert any(k >= len(D) > 1 for D, k in cases)
+        assert any(1 < k < len(D) - 1 for D, k in cases)

@@ -20,6 +20,7 @@ from ddce.errors import (
     EmbeddingTruncatedError,
     EmbeddingValueError,
 )
+from ddce.util import fnv1a64
 
 from oracles import finite_difference_grads
 
@@ -52,6 +53,24 @@ class TestFeaturize:
         a = featurize(["alpha beta", "gamma"], 32).data
         b = featurize(["alpha beta", "gamma"], 32).data
         assert np.array_equal(a, b)
+
+
+class TestFnv1a64:
+    @pytest.mark.parametrize("text, expected", [
+        ("", 0xcbf29ce484222325),
+        ("a", 0xaf63dc4c8601ec8c),
+        ("foobar", 0x85944171f73967e8),
+    ])
+    def test_published_vectors(self, text, expected):
+        assert fnv1a64(text) == expected
+
+    def test_non_ascii_hashes_utf8_bytes(self):
+        text = "intención ☕ 日本"
+        h = 14695981039346656037
+        for byte in text.encode("utf-8"):
+            h = ((h ^ byte) * 1099511628211) % 2**64
+        assert len(text.encode("utf-8")) > len(text)
+        assert fnv1a64(text) == h
 
 
 class TestGradients:
