@@ -221,7 +221,7 @@ def generate_synthetic(
     centers = rng.normal(size=(n_intents, dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
     rows = []
-    vectors = np.empty((n_intents * rows_per_intent, dim))
+    noise = np.empty((n_intents * rows_per_intent, dim))
     for i in range(n_intents):
         for j in range(rows_per_intent):
             tokens = [
@@ -238,7 +238,11 @@ def generate_synthetic(
                     intent=f"{label_prefix}-{i}",
                 )
             )
-            vectors[i * rows_per_intent + j] = centers[i] + blob_sigma * rng.normal(size=dim)
+            noise[i * rows_per_intent + j] = rng.normal(size=dim)
+    with np.errstate(over="ignore"):
+        vectors = np.repeat(centers, rows_per_intent, axis=0) + blob_sigma * noise
+    if not np.isfinite(vectors).all():
+        raise DdceError(f"blob_sigma {blob_sigma} overflows the embedding vectors")
     dataset = LabeledDataset(rows=rows)
     oracle = EmbeddingMatrix(data=vectors, row_ids=[r.id for r in rows])
     return dataset, oracle

@@ -139,25 +139,30 @@ def _exact_distances(x: np.ndarray, i: np.ndarray, j: np.ndarray, cosine: bool) 
 def _pairs_within(
     x: np.ndarray, a: int, b: int, radius: float, sq: np.ndarray, bound: float, cosine: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pairs i < j within ``radius`` whose row i is in [a, b), as row
-    indices, column indices and distances in (i, j) order. The candidates
-    are the pairs whose approximation is not above ``bound``: see
+    """Rows [a, b) of the structure: each row's length, then the columns
+    (as int32) and distances of the rows one after another, each row in
+    (distance, index) order. The candidates are each row's own column and
+    the pairs whose approximation is not above ``bound``: see
     :func:`pairwise_distances`."""
-    n = len(x)
-    approx = x[a:b] @ x[a:].T
+    approx = x[a:b] @ x.T
     if cosine:
         np.subtract(1.0, approx, out=approx)
     else:
         approx *= -2.0
         approx += sq[a:b, None]
-        approx += sq[a:]
+        approx += sq
     near = ~(approx > bound)
-    r, c = np.divmod(np.flatnonzero(near), n - a)
-    above = c > r
-    i, j = r[above] + a, c[above] + a
+    np.fill_diagonal(near[:, a:], True)
+    r, j = np.divmod(np.flatnonzero(near), len(x))
+    i = r + a
     dist = _exact_distances(x, i, j, cosine)
+    dist[i == j] = 0.0
     kept = dist <= radius
-    return i[kept], j[kept], dist[kept]
+    r, j, dist = r[kept], j[kept], dist[kept]
+    # The candidates arrive in (row, column) order and lexsort is stable,
+    # so equal distances stay in column order.
+    order = np.lexsort((dist, r))
+    return np.bincount(r, minlength=b - a), j[order].astype(np.int32), dist[order]
 
 
 def pairwise_distances(x: np.ndarray, metric: str, radius: float = np.inf) -> Neighbourhood:
@@ -165,14 +170,16 @@ def pairwise_distances(x: np.ndarray, metric: str, radius: float = np.inf) -> Ne
     L2-normalized rows (clamped at 0, self-distance 0); euclidean is the
     usual norm.
 
-    Each pair j > i is computed once and mirrored into row j. Rows are
-    walked in blocks of ``2**17 // n`` rows, so that one block's values
-    take 1 MB. For each block one matrix product approximates every
-    column j >= a: ``1 - xn[a:b] @ xn[a:].T`` for cosine, and
+    Rows are built whole, in blocks of ``2**17 // n`` rows, so that one
+    block's values take 1 MB. For each block [a, b) one matrix product
+    approximates every column: ``1 - xn[a:b] @ xn.T`` for cosine, and
     |x|² + |y|² - 2 x·y, the squared distance, for euclidean. Only the
-    pairs j > i that the approximation cannot rule out are evaluated with
-    the exact per-row expression. Memory scales with the number of pairs
-    within ``radius``, not n².
+    pairs that the approximation cannot rule out are evaluated with the
+    exact per-row expression. Each pair is thus evaluated from both of
+    its rows, and both give the same bytes: products commute and
+    x - y = -(y - x) exactly, so every term, and the sum taken in the
+    same order, is equal. Memory scales with the number of pairs within
+    ``radius``, not n².
 
     The filter never drops a pair the exact expression keeps. With u the
     unit roundoff and γ_m = m·u / (1 - m·u), a length-d dot product
@@ -215,49 +222,17 @@ def pairwise_distances(x: np.ndarray, metric: str, radius: float = np.inf) -> Ne
         sq *= 1.0 - 8 * _gamma(dim + 2)
         bound = radius * radius * (1 + 8 * _U) + 8 * (dim + 2) * _TINY
     block = max(1, _BLOCK_ELEMENTS // max(n, 1))
-    # Until assembly the columns are held as int32, half the bytes of intp;
-    # at a radius that covers most pairs that is about 8% of the peak. An
-    # O(n²) build never sees 2**31 rows.
-    # Per block: first row, each row's end offset, and the columns j > i
-    # within the radius with their distances, in (i, j) order.
-    blocks = []
-    row_len = np.ones(n, dtype=np.intp)  # i itself
-    for a in range(0, n, block):
-        b = min(a + block, n)
-        i, j, dist = _pairs_within(x, a, b, radius, sq, bound, cosine)
-        counts = np.bincount(i - a, minlength=b - a)
-        row_len[a:b] += counts
-        row_len += np.bincount(j, minlength=n)
-        blocks.append((a, np.cumsum(counts).tolist(), j.astype(np.int32), dist))
-    indptr = np.concatenate([[0], np.cumsum(row_len)])
-    indices = np.empty(indptr[-1], dtype=np.intp)
-    distances = np.empty(indptr[-1])
-    # Next free slot of each row's part j < i. Rows are filled in index
-    # order, so that part arrives in index order and row i is complete
-    # once its own columns j > i are written.
-    fill = indptr[:-1].copy()
-    for a, ends, block_cols, block_dist in blocks:
-        for i, lo, hi in zip(range(a, n), [0] + ends, ends):
-            cols, d = block_cols[lo:hi], block_dist[lo:hi]
-            start, mid, end = indptr[i], fill[i], indptr[i + 1]
-            indices[mid] = i
-            distances[mid] = 0.0
-            indices[mid + 1:end] = cols
-            distances[mid + 1:end] = d
-            at = fill[cols]
-            indices[at] = i
-            distances[at] = d
-            fill[cols] += 1
-            # The row is in index order, so a stable sort gives (distance,
-            # index) order; without equal distances every sort gives it.
-            row = distances[start:end]
-            by_distance = np.argsort(row)
-            ordered = row[by_distance]
-            if (ordered[1:] == ordered[:-1]).any():
-                by_distance = np.argsort(row, kind="stable")
-                ordered = row[by_distance]
-            indices[start:end] = indices[start:end][by_distance]
-            distances[start:end] = ordered
+    # The columns stay int32, half the bytes of intp, until the final
+    # concatenation: an O(n²) build never sees 2**31 rows. When n is 0 the
+    # one empty block gives each concatenation a part.
+    counts, cols, dists = zip(*(
+        _pairs_within(x, a, min(a + block, n), radius, sq, bound, cosine)
+        for a in range(0, max(n, 1), block)
+    ))
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    distances = np.concatenate(dists)
+    del dists  # freed before the intp columns are made, to lower the peak
+    indices = np.concatenate(cols, dtype=np.intp)
     return Neighbourhood(indptr=indptr, indices=indices, distances=distances, radius=radius)
 
 

@@ -370,6 +370,36 @@ def ref_wilcoxon(diffs) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Hashed TF-IDF rows
+
+def _fnv1a64(text: str) -> int:
+    """64-bit FNV-1a of the UTF-8 bytes, from the published constants."""
+    h = 0xcbf29ce484222325
+    for byte in text.encode("utf-8"):
+        h = ((h ^ byte) * 0x100000001b3) % 2**64
+    return h
+
+
+def ref_featurize(texts, feature_dim) -> list[list[float]]:
+    """featurize as its docstring states it: whitespace tokens, idf
+    ln((1 + n) / (1 + df)) + 1, each token's count × idf added to bucket
+    FNV-1a 64 mod ``feature_dim``, rows L2-normalized (zero rows stay
+    zero). Lists of floats, one per text."""
+    n = len(texts)
+    docs = [text.split() for text in texts]
+    df = Counter(token for tokens in docs for token in set(tokens))
+    rows = []
+    for tokens in docs:
+        row = [0.0] * feature_dim
+        for token, count in Counter(tokens).items():
+            idf = math.log((1 + n) / (1 + df[token])) + 1
+            row[_fnv1a64(token) % feature_dim] += count * idf
+        norm = math.sqrt(sum(v * v for v in row))
+        rows.append([v / norm for v in row] if norm else row)
+    return rows
+
+
+# ---------------------------------------------------------------------------
 # Central finite differences
 
 def finite_difference_grads(loss_fn, params: list[np.ndarray], step: float = 1e-4):

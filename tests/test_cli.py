@@ -393,7 +393,7 @@ class TestMalformedInputs:
         assert "--max-per-intent" in self._assert_one_error(code, capsys)
         assert not os.path.exists(out / "artifacts.json")
 
-    @pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("sigma", ["-1", "nan", "inf", "1e308"])
     def test_synth_bad_sigma(self, tmp_path, capsys, sigma):
         out = tmp_path / "x"
         code = run("synth", "--intents", "2", "--per-intent", "3", "--sigma", sigma,

@@ -192,7 +192,7 @@ class TestGenerateSynthetic:
             block = oracle.data[i * 4 : (i + 1) * 4]
             assert np.allclose(block, block[0])
 
-    @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
+    @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf"), 1e308])
     def test_bad_sigma_rejected(self, sigma):
         with pytest.raises(DdceError, match="blob_sigma"):
             generate_synthetic(3, 4, 8, sigma, seeded())

@@ -22,7 +22,7 @@ from ddce.errors import (
 )
 from ddce.util import fnv1a64
 
-from oracles import finite_difference_grads
+from oracles import finite_difference_grads, ref_featurize
 
 
 class TestFeaturize:
@@ -53,6 +53,33 @@ class TestFeaturize:
         a = featurize(["alpha beta", "gamma"], 32).data
         b = featurize(["alpha beta", "gamma"], 32).data
         assert np.array_equal(a, b)
+
+
+def featurize_case(seed):
+    """Texts drawn from a small vocabulary, so that tokens repeat within
+    and across texts, with non-ASCII tokens and empty and whitespace-only
+    texts; feature_dim 16 makes buckets collide."""
+    rng = np.random.default_rng(700 + seed)
+    vocab = ["a", "bb", "intent", "común", "naïve", "日本", "☕", "Ωmega"]
+    vocab += [f"w{k}" for k in range(24)]
+    texts = []
+    for _ in range(int(rng.integers(1, 25))):
+        words = [vocab[t] for t in rng.integers(0, len(vocab), size=int(rng.integers(0, 12)))]
+        texts.append(str(rng.choice([" ", "  ", "\t", " \n "])).join(words))
+    if seed % 4 == 0:
+        texts.append(" \t ")
+    return texts, int(rng.choice([16, 17, 64, 512]))
+
+
+class TestFeaturizeOracle:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_reference(self, seed):
+        texts, feature_dim = featurize_case(seed)
+        got = featurize(texts, feature_dim).data
+        want = np.array(ref_featurize(texts, feature_dim))
+        assert got.shape == want.shape == (len(texts), feature_dim)
+        assert np.abs(got - want).max() <= 1e-12
+        assert np.array_equal(got == 0.0, want == 0.0)
 
 
 class TestFnv1a64:

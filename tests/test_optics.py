@@ -55,7 +55,8 @@ def assert_matches_reference(data, params, metric):
 
 def dense_distances(data, metric):
     """The full n×n matrix, every row computed over all columns: the
-    bitwise reference for the structure, which computes each pair once."""
+    bitwise reference for the structure, which evaluates only the pairs
+    its candidate filter keeps."""
     if metric == "cosine":
         xn = normalize_rows(data)
         D = np.array([np.maximum(0.0, 1.0 - (xn * row).sum(axis=1)) for row in xn])
@@ -86,11 +87,14 @@ def neighbourhood_cases():
 def assert_rows_match_dense(data, metric, radius):
     """The structure at ``radius`` against the dense matrix: each pair
     within the radius exactly once, none beyond it, the same distance
-    bytes, rows in (distance, index) order and each row's self at 0.0."""
+    bytes, rows in (distance, index) order and each row's self at 0.0;
+    offsets and columns as intp, distances as float64."""
     n = len(data)
     nbrs = pairwise_distances(data, metric, radius)
     D = dense_distances(data, metric)
     assert nbrs.shape == (n, n) and nbrs.radius == radius
+    assert nbrs.indptr.dtype == nbrs.indices.dtype == np.intp
+    assert nbrs.distances.dtype == np.float64
     assert len(nbrs.indptr) == n + 1 and nbrs.indptr[0] == 0
     assert nbrs.indptr[-1] == len(nbrs.indices) == len(nbrs.distances)
     for i in range(n):
