@@ -69,8 +69,10 @@ def _cmd_synth(args) -> int:
         rng=substream(args.seed, "synth"),
         label_prefix=args.prefix,
     )
-    corpus.save_jsonl(dataset, os.path.join(args.out, "labeled.jsonl"))
+    # The vectors go first: a matrix that EMB1 cannot hold fails before
+    # either file is written.
     embed.save_embeddings(oracle, os.path.join(args.out, "oracle.emb1"))
+    corpus.save_jsonl(dataset, os.path.join(args.out, "labeled.jsonl"))
     print(f"wrote {dataset.N} rows across {dataset.O} intents to {args.out}")
     return 0
 

@@ -138,12 +138,15 @@ def inner_split(
 ) -> tuple[LabeledDataset, LabeledDataset]:
     """Stratified train/validation split: each intent contributes
     round(holdout_fraction * n_i) rows to validation, at least 1, leaving
-    at least 1 in training. Intents with a single example cannot be split.
+    at least 1 in training. Intents with a single example cannot be split,
+    and neither can rows without an intent (injected outliers).
     """
     if not 0.0 < holdout_fraction < 1.0:
         raise DdceError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
     by_intent: dict[str, list[int]] = {}
     for i, row in enumerate(d.rows):
+        if row.intent is None:
+            raise DdceError(f"row {row.id!r} has no intent to stratify by")
         by_intent.setdefault(row.intent, []).append(i)
     val_indices: set[int] = set()
     for intent in sorted(by_intent):

@@ -229,7 +229,14 @@ def encode(model: EncoderModel, texts: list[str], ids: list[str] | None = None) 
 
 def save_embeddings(m: EmbeddingMatrix, path: str) -> None:
     """Write the EMB1 binary format: magic, u32 rows, u32 dim, per-row
-    u16-length-prefixed UTF-8 ids, then the matrix as little-endian f32."""
+    u16-length-prefixed UTF-8 ids, then the matrix as little-endian f32.
+    A value that float32 rounds to ±inf is rejected, and nothing is
+    written."""
+    # The matrix is finite, so an inf can only come from the cast.
+    with np.errstate(over="ignore"):
+        payload = np.ascontiguousarray(m.data, dtype="<f4")
+    if np.isinf(payload).any():
+        raise EmbeddingValueError(f"{path}: embedding values overflow float32")
     parts = [EMB1_MAGIC, struct.pack("<II", m.n, m.d)]
     for rid in m.row_ids:
         raw = rid.encode("utf-8")
@@ -237,7 +244,7 @@ def save_embeddings(m: EmbeddingMatrix, path: str) -> None:
             raise DdceError(f"id too long for EMB1 format: {rid[:32]!r}...")
         parts.append(struct.pack("<H", len(raw)))
         parts.append(raw)
-    parts.append(np.ascontiguousarray(m.data, dtype="<f4").tobytes())
+    parts.append(payload.tobytes())
     atomic_write_bytes(path, b"".join(parts))
 
 

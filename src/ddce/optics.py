@@ -304,35 +304,23 @@ def compute_ordering(
     )
 
 
-def _extend_region(steep: np.ndarray, xward: np.ndarray, start: int, min_samples: int) -> int:
+def _extend_region(steep: list, xward: list, start: int, min_samples: int) -> int:
     """Grow a steep area from ``start``: ends at the last steep point before
     either a point moving the wrong way or more than min_samples
     consecutive flat points."""
-    n = len(steep)
-    index = start
     end = start
     non_xward = 0
-    while index < n:
+    for index in range(start, len(steep)):
         if steep[index]:
             non_xward = 0
             end = index
-        elif not xward[index]:
+        elif xward[index]:
+            break
+        else:
             non_xward += 1
             if non_xward > min_samples:
                 break
-        else:
-            return end
-        index += 1
     return end
-
-
-def _filter_sdas(r: np.ndarray, sdas: list[dict], mib: float, xi_complement: float) -> list[dict]:
-    if np.isinf(mib):
-        return []
-    kept = [sda for sda in sdas if mib <= r[sda["start"]] * xi_complement]
-    for sda in kept:
-        sda["mib"] = max(sda["mib"], mib)
-    return kept
 
 
 def _xi_candidate_clusters(r: np.ndarray, xi: float, min_samples: int) -> list[tuple[int, int]]:
@@ -342,55 +330,51 @@ def _xi_candidate_clusters(r: np.ndarray, xi: float, min_samples: int) -> list[t
     r = np.hstack([r, np.inf])
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = r[:-1] / r[1:]
-        steep_up = ratio <= xi_complement
-        steep_down = ratio >= 1.0 / xi_complement
-        upward = ratio < 1.0
-        downward = ratio > 1.0
+    steep_up = ratio <= xi_complement
+    steep_down = ratio >= 1.0 / xi_complement
+    steep_points = np.flatnonzero(steep_up | steep_down).tolist()
+    upward, downward = (ratio < 1.0).tolist(), (ratio > 1.0).tolist()
+    steep_up, steep_down, r = steep_up.tolist(), steep_down.tolist(), r.tolist()
 
     clusters: list[tuple[int, int]] = []
-    sdas: list[dict] = []
+    # The open steep-down areas as [start, end, mib], mib being the largest
+    # value since the area's end. An area closes once a value since its end
+    # exceeds r[start]·(1 - xi), and every area closes at an inf.
+    sdas: list[list] = []
     index = 0
     mib = 0.0
-    for steep_index in np.flatnonzero(steep_up | steep_down):
-        steep_index = int(steep_index)
+    for steep_index in steep_points:
         if steep_index < index:
             continue
-        mib = max(mib, float(np.max(r[index : steep_index + 1])))
+        mib = max(mib, max(r[index : steep_index + 1]))
+        sdas = [] if mib == np.inf else [sda for sda in sdas if mib <= r[sda[0]] * xi_complement]
+        for sda in sdas:
+            sda[2] = max(sda[2], mib)
         if steep_down[steep_index]:
-            sdas = _filter_sdas(r, sdas, mib, xi_complement)
-            d_start = steep_index
-            d_end = _extend_region(steep_down, upward, d_start, min_samples)
-            sdas.append({"start": d_start, "end": d_end, "mib": 0.0})
-            index = d_end + 1
-            mib = float(r[index])
+            end = _extend_region(steep_down, upward, steep_index, min_samples)
+            sdas.append([steep_index, end, 0.0])
         else:
-            sdas = _filter_sdas(r, sdas, mib, xi_complement)
-            u_start = steep_index
-            u_end = _extend_region(steep_up, downward, u_start, min_samples)
-            index = u_end + 1
-            mib = float(r[index])
-            for sda in sdas:
-                c_start = sda["start"]
-                c_end = u_end
-                # Cluster must dip below both of its shoulders.
-                if r[c_end + 1] * xi_complement < sda["mib"]:
+            end = _extend_region(steep_up, downward, steep_index, min_samples)
+            right = r[end + 1]
+            for d_start, d_end, d_mib in sdas:
+                # The filter keeps the valley below the left shoulder; it
+                # must also lie below the right one.
+                if right * xi_complement < d_mib:
                     continue
-                d_max = r[sda["start"]]
-                if d_max * xi_complement >= r[c_end + 1]:
+                c_start, c_end = d_start, end
+                d_max = r[d_start]
+                if d_max * xi_complement >= right:
                     # Left shoulder higher: trim the start down to the end's level.
-                    while r[c_start + 1] > r[c_end + 1] and c_start < sda["end"]:
+                    while r[c_start + 1] > right and c_start < d_end:
                         c_start += 1
-                elif r[c_end + 1] * xi_complement >= d_max:
+                elif right * xi_complement >= d_max:
                     # Right shoulder higher: trim the end down to the start's level.
-                    while r[c_end - 1] > d_max and c_end > u_start:
+                    while r[c_end - 1] > d_max and c_end > steep_index:
                         c_end -= 1
-                if c_end - c_start + 1 < min_samples:
-                    continue
-                if c_start > sda["end"]:
-                    continue
-                if c_end < u_start:
-                    continue
-                clusters.append((c_start, c_end))
+                if c_end - c_start + 1 >= min_samples:
+                    clusters.append((c_start, c_end))
+        index = end + 1
+        mib = r[index]
     return clusters
 
 

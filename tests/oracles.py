@@ -128,6 +128,92 @@ def ref_optics(x, max_eps, min_samples, metric="euclidean"):
 
 
 # ---------------------------------------------------------------------------
+# Pairwise xi-cluster candidates
+
+def ref_xi_clusters(r, xi, min_samples) -> list[tuple[int, int]]:
+    """xi candidate clusters (Ankerst et al. 1999, §4.3) as inclusive
+    (start, end) ordering positions, from pairs of steep areas rather than
+    a running scan.
+
+    The plot gets inf appended. Point i is steep down when r[i] / r[i+1]
+    >= 1 / (1 - xi), steep up when it is <= 1 - xi, and moves up or down
+    when the ratio is below or above 1; inf / inf and 0 / 0 are NaN, which
+    is none of these. One left-to-right walk finds the areas: from a steep
+    point, an area takes in the next steep point of its kind when the
+    points between them number at most ``min_samples`` and none moves the
+    wrong way. The walk resumes after the area.
+
+    A steep-down area D and a later steep-up area U pair up when M, the
+    largest value of r[D.end + 1 .. U.start], is finite and at most both
+    r[D.start]·(1 - xi) and r[U.end + 1]·(1 - xi). The pair's interval
+    runs from D.start to U.end. When r[D.start]·(1 - xi) >= r[U.end + 1],
+    its start moves right, up to D.end, while the next value is above
+    r[U.end + 1]. Otherwise, when r[U.end + 1]·(1 - xi) >= r[D.start], its
+    end moves left, down to U.start, while the previous value is above
+    r[D.start]. Intervals shorter than ``min_samples`` are dropped. The
+    list goes by U, then by D, both left to right."""
+    r = [float(v) for v in r] + [math.inf]
+    n = len(r) - 1
+    keep = 1.0 - xi
+
+    def ratio(i):
+        a, b = r[i], r[i + 1]
+        if b == 0.0:
+            return math.nan if a == 0.0 else math.inf
+        return a / b  # inf / inf is NaN
+
+    ratios = [ratio(i) for i in range(n)]
+    kinds = {
+        "down": ([q >= 1.0 / keep for q in ratios], [q < 1.0 for q in ratios]),
+        "up": ([q <= keep for q in ratios], [q > 1.0 for q in ratios]),
+    }
+
+    def area(kind, start):
+        steep, wrong_way = kinds[kind]
+        end = start
+        while True:
+            following = [j for j in range(end + 1, n) if steep[j]]
+            if not following:
+                return end
+            between = range(end + 1, following[0])
+            if len(between) > min_samples or any(wrong_way[j] for j in between):
+                return end
+            end = following[0]
+
+    downs, ups = [], []
+    i = 0
+    while i < n:
+        kind = "down" if kinds["down"][0][i] else "up" if kinds["up"][0][i] else None
+        if kind is None:
+            i += 1
+            continue
+        end = area(kind, i)
+        (downs if kind == "down" else ups).append((i, end))
+        i = end + 1
+
+    clusters = []
+    for u_start, u_end in ups:
+        right = r[u_end + 1]
+        for d_start, d_end in downs:
+            if d_start > u_start:
+                continue
+            left = r[d_start]
+            m = max(r[d_end + 1 : u_start + 1])
+            if not (math.isfinite(m) and m <= left * keep and m <= right * keep):
+                continue
+            start, end = d_start, u_end
+            if left * keep >= right:
+                while start < d_end and r[start + 1] > right:
+                    start += 1
+            elif right * keep >= left:
+                while end > u_start and r[end - 1] > left:
+                    end -= 1
+            if end - start + 1 >= min_samples:
+                clusters.append((start, end))
+    return clusters
+
+
+# ---------------------------------------------------------------------------
 # First-appearance relabelling
 
 def ref_canonicalize_labels(labels) -> list[int]:

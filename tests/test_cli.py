@@ -13,7 +13,7 @@ import pytest
 from ddce.cli import _load_labeled, build_parser, main
 from ddce.corpus import save_jsonl
 from ddce.pipeline import PipelineConfig
-from ddce.embed import EmbeddingMatrix, load_precomputed, save_embeddings
+from ddce.embed import EmbeddingMatrix, featurize, load_precomputed, save_embeddings
 
 from conftest import make_benchmark, make_labeled
 
@@ -99,6 +99,59 @@ class TestSynthInjectEvaluate:
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert run("evaluate", "--truth", "/nope.jsonl", "--pred", "/nope2.jsonl") == 2
+
+
+class TestManifest:
+    """manifest.json names each command's input files, in flag order, and
+    the seed it ran with."""
+
+    @pytest.fixture
+    def files(self, workspace, tmp_path):
+        """The workspace plus an EMB1 file with a vector for every row, and
+        a small config whose master_seed is 9."""
+        rows = [json.loads(line) for name in ("labeled", "unlabeled", "source")
+                for line in open(workspace[name])]
+        texts = {r["id"]: r["text"] for r in rows}  # injected rows repeat source rows
+        vectors = featurize(list(texts.values()), 16, ids=list(texts))
+        files = {**workspace, "emb": str(tmp_path / "all.emb1"),
+                 "small": str(tmp_path / "small.json")}
+        save_embeddings(vectors, files["emb"])
+        with open(files["small"], "w") as fh:
+            json.dump({"k_models": 2, "search_space": {"n_trials": 3},
+                       "train_cfg": {"epochs": 2}, "master_seed": 9}, fh)
+        return files
+
+    @pytest.mark.parametrize("command, flags, inputs, seed", [
+        ("inject", ["--data", "unlabeled", "--source", "source", "--ratio", "0.5"],
+         ["unlabeled", "source"], 0),
+        ("train", ["--labeled", "labeled", "--outlier-source", "source", "--seed", "4"],
+         ["labeled", "source"], 4),
+        ("train", ["--labeled", "labeled", "--outlier-source", "source", "--embeddings", "emb"],
+         ["labeled", "source", "emb"], 9),
+        ("cluster", ["--embeddings", "emb", "--max-eps", "0.4", "--xi", "0.05",
+                     "--min-samples", "2"], ["emb"], 0),
+        ("ensemble", ["--labeled", "labeled", "--unlabeled", "unlabeled",
+                      "--outlier-source", "source"], ["labeled", "unlabeled", "source"], 9),
+        ("ensemble", ["--labeled", "labeled", "--unlabeled", "unlabeled",
+                      "--outlier-source", "source", "--embeddings", "emb", "--seed", "5"],
+         ["labeled", "unlabeled", "source", "emb"], 5),
+        ("baseline-kmeans", ["--labeled", "labeled", "--unlabeled", "unlabeled", "--seed", "3"],
+         ["labeled", "unlabeled"], 3),
+        ("baseline-kmeans", ["--labeled", "labeled", "--unlabeled", "unlabeled",
+                             "--embeddings", "emb"], ["labeled", "unlabeled", "emb"], 9),
+        ("sweep-alpha", ["--labeled", "labeled", "--unlabeled", "unlabeled",
+                         "--outlier-source", "source", "--alphas", "0.5", "--reps", "1"],
+         ["labeled", "unlabeled", "source"], 9),
+    ])
+    def test_inputs_and_seed(self, files, command, flags, inputs, seed):
+        argv = [files.get(f, f) for f in flags]
+        if command not in ("inject", "cluster"):
+            argv += ["--config", files["small"]]
+        assert run(command, *argv, "--out", files["out"]) == 0
+        manifest = json.load(open(os.path.join(files["out"], "manifest.json")))
+        assert manifest["command"] == command
+        assert manifest["input_paths"] == [files[name] for name in inputs]
+        assert manifest["master_seed"] == seed
 
 
 def bench_partition_sha256(workload, tmp_path, monkeypatch):
@@ -400,6 +453,16 @@ class TestMalformedInputs:
                    "--out", str(out))
         assert "blob_sigma" in self._assert_one_error(code, capsys)
         assert not os.path.exists(out / "labeled.jsonl")
+
+    def test_synth_sigma_beyond_float32(self, tmp_path, capsys):
+        """The vectors are finite as float64 but overflow EMB1's float32:
+        the error names the file, and neither file is written."""
+        out = tmp_path / "x"
+        code = run("synth", "--intents", "2", "--per-intent", "3", "--sigma", "1e300",
+                   "--out", str(out))
+        assert str(out / "oracle.emb1") in self._assert_one_error(code, capsys)
+        assert not os.path.exists(out / "labeled.jsonl")
+        assert not os.path.exists(out / "oracle.emb1")
 
     @staticmethod
     def _assert_one_error(code, capsys):

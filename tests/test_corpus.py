@@ -117,6 +117,11 @@ class TestInnerSplit:
         with pytest.raises(StratificationError):
             inner_split(d, 0.2, seeded())
 
+    def test_row_without_intent_rejected(self):
+        d = inject_outliers(make_labeled({"a": 4, "b": 4}), outlier_source(), 0.5, seeded())
+        with pytest.raises(DdceError, match="row 'noise-[0-9]+' has no intent"):
+            inner_split(d, 0.2, seeded())
+
 
 def outlier_source(n=200, prefix="noise"):
     rows = [Utterance(id=f"{prefix}-{i}", text=f"{prefix} w{i}", intent=None) for i in range(n)]

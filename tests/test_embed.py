@@ -221,6 +221,25 @@ class TestEmb1Format:
         save_embeddings(m, path)
         assert load_precomputed(path).row_ids == ["héllo-δ", "中文-id"]
 
+    def test_float32_range_edge(self, tmp_path):
+        # float32's largest value saves as it is, and so does every float64
+        # that rounds to it; from the midpoint to 2**128 on, the cast gives
+        # inf and nothing is written.
+        top = float(np.finfo(np.float32).max)
+        below_midpoint = float.fromhex("0x1.fffffefffffffp+127")
+        def one_row(*values):
+            return EmbeddingMatrix(data=np.array([values]), row_ids=["a"])
+
+        path = str(tmp_path / "m.emb1")
+        save_embeddings(one_row(top, -below_midpoint), path)
+        assert load_precomputed(path).data.tolist() == [[top, -top]]
+        bad = str(tmp_path / "bad.emb1")
+        for value in (float.fromhex("0x1.ffffffp+127"), -1e300):
+            with pytest.raises(EmbeddingValueError, match="overflow float32") as exc:
+                save_embeddings(one_row(0.0, value), bad)
+            assert bad in str(exc.value)
+            assert not (tmp_path / "bad.emb1").exists()
+
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.emb1"
         path.write_bytes(b"NOPE" + b"\x00" * 16)

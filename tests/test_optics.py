@@ -20,10 +20,11 @@ from ddce.optics import (
     load_partition_jsonl,
     pairwise_distances,
     save_partition_jsonl,
+    _xi_candidate_clusters,
 )
 
 from conftest import cosine_blobs_with_noise, two_blob_points
-from oracles import _pair_distance, ref_canonicalize_labels, ref_optics
+from oracles import _pair_distance, ref_canonicalize_labels, ref_optics, ref_xi_clusters
 
 
 def emb(data):
@@ -384,6 +385,100 @@ class TestXiExtraction:
         ordering = ordering_of(data, OpticsParams(1.0, 0.05, 3), "euclidean")
         with pytest.raises(DdceError):
             extract_xi_clusters(ordering, 1.5, 3)
+
+
+def random_plot(rng):
+    """A reachability plot of 0-80 values: rounded uniform values, or runs
+    of a few levels (long flat stretches), with zeros and inf entries mixed
+    in. Returns it with an xi and a min_samples."""
+    n = int(rng.integers(0, 81))
+    if rng.random() < 0.5:
+        r = np.round(rng.uniform(0.0, 1.0, size=n), int(rng.integers(1, 4)))
+    else:
+        levels = rng.choice([0.1, 0.2, 0.25, 0.4, 0.5, 0.8, 1.0, 2.0], size=n)
+        r = np.repeat(levels, rng.integers(1, 6, size=n))[:n]
+    r[rng.random(n) < rng.choice([0.0, 0.05, 0.2])] = 0.0
+    r[rng.random(n) < rng.choice([0.0, 0.05, 0.2])] = np.inf
+    xi = float(rng.choice([0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.75]))
+    return r, xi, int(rng.integers(2, 8))
+
+
+def ordering_plot(rng):
+    """A reachability ordering from compute_ordering on 5-100 blob points
+    under either metric, with an xi and a min_samples."""
+    n = int(rng.integers(5, 101))
+    centers = rng.normal(size=(int(rng.integers(1, 6)), 3))
+    data = centers[rng.integers(0, len(centers), size=n)]
+    data = data + rng.normal(0.0, rng.choice([0.02, 0.1, 0.3]), size=data.shape)
+    if rng.random() < 0.3:
+        data = np.round(data, 1)  # tied distances, flat stretches
+    metric = ("cosine", "euclidean")[int(rng.integers(0, 2))]
+    min_samples = int(rng.integers(2, 11))
+    params = OpticsParams(float(rng.uniform(0.1, 3.0)), 0.05, min_samples)
+    xi = float(rng.choice([0.01, 0.05, 0.1, 0.2, 0.4]))
+    return ordering_of(data, params, metric), xi, min_samples
+
+
+def assert_xi_matches_reference(ordering, xi, min_samples):
+    """The candidate list equals the pairwise oracle's, in order, and
+    extract_xi_clusters gives each point the shortest candidate holding
+    its position (on equal lengths, the later one), labels numbered by
+    first appearance."""
+    r = ordering.reachability[ordering.order]
+    cands = ref_xi_clusters(r.tolist(), xi, min_samples)
+    assert _xi_candidate_clusters(r, xi, min_samples) == cands
+    at = [-1] * len(r)
+    for p in range(len(r)):
+        holding = [c for c, (s, e) in enumerate(cands) if s <= p <= e]
+        if holding:
+            at[p] = min(holding, key=lambda c: (cands[c][1] - cands[c][0], -c))
+    labels = [-1] * len(r)
+    for p, point in enumerate(ordering.order.tolist()):
+        labels[point] = at[p]
+    got = extract_xi_clusters(ordering, xi, min_samples)
+    assert got.labels.tolist() == ref_canonicalize_labels(labels)
+
+
+class TestXiOracle:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_plots(self, seed):
+        rng = np.random.default_rng(7000 + seed)
+        for _ in range(50):
+            r, xi, min_samples = random_plot(rng)
+            n = len(r)
+            order = rng.permutation(n)
+            reach = np.empty(n)
+            reach[order] = r
+            ordering = ReachabilityOrdering(
+                order=order, reachability=reach, core_distance=np.full(n, np.inf),
+                predecessor=np.full(n, -1), ids=[f"p{i}" for i in range(n)],
+            )
+            assert_xi_matches_reference(ordering, xi, min_samples)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_ordering_plots(self, seed):
+        rng = np.random.default_rng(8000 + seed)
+        for _ in range(10):
+            assert_xi_matches_reference(*ordering_plot(rng))
+
+    @pytest.mark.parametrize("r, min_samples, expected", [
+        ([], 2, []),
+        ([1.0, 0.1, 0.1, 0.1, 1.0], 2, [(0, 4)]),
+        ([1.0, 0.1, 0.1, 0.1, 1.0], 6, []),  # shorter than min_samples
+        ([1.0, 0.1, 0.1, 0.1, np.inf], 2, [(0, 3)]),  # inf / inf is not steep
+        ([np.inf, 0.1, 0.1, 0.1, 1.0], 2, [(0, 4)]),
+        # The inf ends one cluster and is the left shoulder of the next.
+        ([1.0, 0.1, np.inf, 0.1, 1.0], 2, [(0, 1), (2, 4)]),
+        ([0.0, 0.0, 0.0, 1.0], 2, []),  # 0 / 0 is not steep: no steep-down area
+        # Left shoulder higher: the start moves right to the end's level.
+        ([4.0, 2.0, 1.0, 0.1, 0.1, 1.5, 1.2], 2, [(1, 4), (0, 6), (5, 6)]),
+        # Right shoulder higher: the end moves left to the start's level.
+        ([1.5, 0.1, 0.1, 1.0, 2.0, 4.0], 2, [(0, 4)]),
+    ])
+    def test_hand_cases(self, r, min_samples, expected):
+        r = np.array(r, dtype=float)
+        assert ref_xi_clusters(r.tolist(), 0.1, min_samples) == expected
+        assert _xi_candidate_clusters(r, 0.1, min_samples) == expected
 
 
 class TestPartition:

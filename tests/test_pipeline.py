@@ -5,7 +5,7 @@ import pytest
 import scipy.stats
 
 from ddce import optics
-from ddce.corpus import UnlabeledDataset, Utterance, generate_synthetic
+from ddce.corpus import UnlabeledDataset, Utterance, generate_synthetic, inject_outliers
 from ddce.embed import EmbeddingMatrix, TrainConfig
 from ddce.errors import ConfigError, DdceError
 from ddce.experiments import (
@@ -180,6 +180,14 @@ class TestRunDdce:
         r2 = run_ddce(d_l, d_ul, source, cfg)
         assert json.dumps(report_to_dict(r1, cfg)) == json.dumps(report_to_dict(r2, cfg))
         assert np.array_equal(r1.consensus_partition.labels, r2.consensus_partition.labels)
+
+    def test_labeled_set_with_injected_outliers_rejected(self):
+        # The built-in encoder trains on a stratified split, which needs an
+        # intent on every row.
+        d_l, d_ul, source = make_benchmark()
+        d_l = inject_outliers(d_l, source, 0.1, np.random.default_rng(0))
+        with pytest.raises(DdceError, match="base model 0: row 'noise-[^']+' has no intent"):
+            run_ddce(d_l, d_ul, source, fast_cfg())
 
     def test_s_min_enforced_on_consensus(self):
         d_l, d_ul, source = make_benchmark(seed=5)
