@@ -24,43 +24,48 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False, sort_keys=False) + "\n"
 
 
-def _load_config(args) -> pipeline.PipelineConfig:
-    obj = parse_json(read_text(args.config), args.config) if args.config else {}
-    cfg = pipeline.config_from_dict(obj)
-    if args.seed is not None:
-        cfg.master_seed = args.seed
-    return cfg
+_INPUT_FLAGS = ("data", "source", "labeled", "unlabeled", "outlier_source", "embeddings")
 
 
-def _write_manifest(args, cfg_seed: int, extra_inputs: list[str]) -> None:
-    """Record what is about to run, before any computation."""
+def _write_manifest(args, seed: int) -> None:
+    """Record what is about to run, before any computation. The input
+    paths are the subcommand's file flags that are set, in _INPUT_FLAGS
+    order."""
     manifest = {
         "tool_version": __version__,
         "command": args.command,
         "config_path": getattr(args, "config", None),
-        "input_paths": [p for p in extra_inputs if p],
+        "input_paths": [p for p in (getattr(args, f, None) for f in _INPUT_FLAGS) if p],
         "output_dir": args.out,
-        "master_seed": cfg_seed,
+        "master_seed": seed,
     }
     atomic_write_text(os.path.join(args.out, "manifest.json"), _json_dumps(manifest))
 
 
-def _load_labeled(args, cfg) -> corpus.LabeledDataset:
+def _load_inputs(args):
+    """The shared start of the pipeline commands: load the config and
+    apply --seed, write the manifest, then read the inputs in flag order.
+    Returns (cfg, labeled, unlabeled, outlier source, embeddings); an
+    input the subcommand has no flag for, or no --embeddings, is None."""
+    obj = parse_json(read_text(args.config), args.config) if args.config else {}
+    cfg = pipeline.config_from_dict(obj)
+    if args.seed is not None:
+        cfg.master_seed = args.seed
+    _write_manifest(args, cfg.master_seed)
     if args.max_per_intent < 0:
         raise DdceError(f"--max-per-intent must be >= 0, got {args.max_per_intent}")
-    d = corpus.load_labeled_jsonl(args.labeled)
+    d_l = corpus.load_labeled_jsonl(args.labeled)
     if args.max_per_intent:
-        d = corpus.cap_per_intent(d, args.max_per_intent, substream(cfg.master_seed, "cap"))
-    return d
-
-
-def _maybe_embeddings(args) -> embed.EmbeddingMatrix | None:
+        d_l = corpus.cap_per_intent(d_l, args.max_per_intent, substream(cfg.master_seed, "cap"))
+    # An empty path is still a path to read: test for the flag, not the value.
+    d_ul, source = (corpus.load_unlabeled_jsonl(getattr(args, f)) if hasattr(args, f) else None
+                    for f in ("unlabeled", "outlier_source"))
     path = getattr(args, "embeddings", None)
-    return embed.load_precomputed(path) if path else None
+    return cfg, d_l, d_ul, source, embed.load_precomputed(path) if path else None
 
 
 def _cmd_synth(args) -> int:
-    _write_manifest(args, args.seed, [])
+    _write_manifest(args, args.seed)
     dataset, oracle = corpus.generate_synthetic(
         n_intents=args.intents,
         rows_per_intent=args.per_intent,
@@ -78,7 +83,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_inject(args) -> int:
-    _write_manifest(args, args.seed, [args.data, args.source])
+    _write_manifest(args, args.seed)
     target = corpus.load_unlabeled_jsonl(args.data)
     source = corpus.load_unlabeled_jsonl(args.source)
     injected = corpus.inject_outliers(target, source, args.ratio, substream(args.seed, "inject"))
@@ -88,11 +93,8 @@ def _cmd_inject(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = _load_config(args)
-    _write_manifest(args, cfg.master_seed, [args.labeled, args.outlier_source, args.embeddings])
-    d_l = _load_labeled(args, cfg)
-    source = corpus.load_unlabeled_jsonl(args.outlier_source)
-    artifacts = pipeline.train_base_models(d_l, source, cfg, embeddings=_maybe_embeddings(args))
+    cfg, d_l, _, source, matrix = _load_inputs(args)
+    artifacts = pipeline.train_base_models(d_l, source, cfg, embeddings=matrix)
     payload = {
         "tool_version": __version__,
         "config": pipeline.config_to_dict(cfg),
@@ -105,7 +107,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    _write_manifest(args, 0, [args.embeddings])
+    _write_manifest(args, 0)
     matrix = embed.load_precomputed(args.embeddings)
     params = optics.OpticsParams(max_eps=args.max_eps, xi=args.xi, min_samples=args.min_samples)
     part = optics.cluster(matrix, params, args.s_min, args.metric)
@@ -116,13 +118,8 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_ensemble(args) -> int:
-    cfg = _load_config(args)
-    _write_manifest(args, cfg.master_seed, [args.labeled, args.unlabeled, args.outlier_source,
-                                            args.embeddings])
-    d_l = _load_labeled(args, cfg)
-    d_ul = corpus.load_unlabeled_jsonl(args.unlabeled)
-    source = corpus.load_unlabeled_jsonl(args.outlier_source)
-    report = pipeline.run_ddce(d_l, d_ul, source, cfg, embeddings=_maybe_embeddings(args))
+    cfg, d_l, d_ul, source, matrix = _load_inputs(args)
+    report = pipeline.run_ddce(d_l, d_ul, source, cfg, embeddings=matrix)
     partition_path = os.path.join(args.out, "partition.jsonl")
     optics.save_partition_jsonl(report.consensus_partition, partition_path)
     payload = pipeline.report_to_dict(report, cfg)
@@ -137,11 +134,8 @@ def _cmd_ensemble(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    cfg = _load_config(args)
-    _write_manifest(args, cfg.master_seed, [args.labeled, args.unlabeled, args.embeddings])
-    d_l = _load_labeled(args, cfg)
-    d_ul = corpus.load_unlabeled_jsonl(args.unlabeled)
-    part = experiments.kmeans_baseline(d_l, d_ul, cfg, embeddings=_maybe_embeddings(args))
+    cfg, d_l, d_ul, _, matrix = _load_inputs(args)
+    part = experiments.kmeans_baseline(d_l, d_ul, cfg, embeddings=matrix)
     optics.save_partition_jsonl(part, os.path.join(args.out, "partition.jsonl"))
     if metrics.has_ground_truth(d_ul):
         scores = metrics.score(d_ul, part)
@@ -192,11 +186,7 @@ def _value_list(element: type):
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_config(args)
-    _write_manifest(args, cfg.master_seed, [args.labeled, args.unlabeled, args.outlier_source])
-    d_l = _load_labeled(args, cfg)
-    d_ul = corpus.load_unlabeled_jsonl(args.unlabeled)
-    source = corpus.load_unlabeled_jsonl(args.outlier_source)
+    cfg, d_l, d_ul, source, _ = _load_inputs(args)
     reps = () if args.sweep.reps is None else (args.reps,)
     _, csv_text = args.sweep.run(d_l, d_ul, source, cfg, args.values, *reps)
     atomic_write_text(os.path.join(args.out, args.sweep.csv_name), csv_text)
@@ -204,7 +194,12 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _add_common(sub, *, embeddings=False):
+def _add_common(sub, *inputs: str, embeddings=False):
+    """The flags of the pipeline commands: --labeled and the other input
+    files named in ``inputs``, then --config, --seed, --out, --embeddings
+    when asked for, and --max-per-intent."""
+    for flag in ("--labeled", *inputs):
+        sub.add_argument(flag, required=True)
     sub.add_argument("--config", help="JSON config mirroring the pipeline settings")
     sub.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
     sub.add_argument("--out", required=True, help="output directory")
@@ -239,12 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_inject, config=None)
+    p.set_defaults(func=_cmd_inject)
 
     p = subs.add_parser("train", help="train the K base clustering models")
-    p.add_argument("--labeled", required=True)
-    p.add_argument("--outlier-source", required=True)
-    _add_common(p, embeddings=True)
+    _add_common(p, "--outlier-source", embeddings=True)
     p.set_defaults(func=_cmd_train)
 
     p = subs.add_parser("cluster", help="single-model density clustering of an EMB1 file")
@@ -258,16 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cluster)
 
     p = subs.add_parser("ensemble", help="full pipeline: train, cluster, consensus")
-    p.add_argument("--labeled", required=True)
-    p.add_argument("--unlabeled", required=True)
-    p.add_argument("--outlier-source", required=True)
-    _add_common(p, embeddings=True)
+    _add_common(p, "--unlabeled", "--outlier-source", embeddings=True)
     p.set_defaults(func=_cmd_ensemble)
 
     p = subs.add_parser("baseline-kmeans", help="centroid baseline with inflated cluster count")
-    p.add_argument("--labeled", required=True)
-    p.add_argument("--unlabeled", required=True)
-    _add_common(p, embeddings=True)
+    _add_common(p, "--unlabeled", embeddings=True)
     p.set_defaults(func=_cmd_baseline)
 
     p = subs.add_parser("evaluate", help="score a partition against ground truth")
@@ -277,14 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, sweep in SWEEPS.items():
         p = subs.add_parser(name, help=sweep.help)
-        p.add_argument("--labeled", required=True)
-        p.add_argument("--unlabeled", required=True)
-        p.add_argument("--outlier-source", required=True)
+        _add_common(p, "--unlabeled", "--outlier-source")
         p.add_argument(sweep.values_flag, dest="values", required=True,
                        type=_value_list(sweep.element), help=sweep.values_help)
         if sweep.reps is not None:
             p.add_argument("--reps", type=int, default=sweep.reps)
-        _add_common(p)
         p.set_defaults(func=_cmd_sweep, sweep=sweep)
 
     return parser

@@ -215,16 +215,19 @@ def generate_synthetic(
     namespaces ids and intent names, letting two independent draws be
     combined without collisions.
     """
-    from .embed import EmbeddingMatrix
+    from .embed import EMB1_LIMIT, EmbeddingMatrix
 
     if n_intents < 1 or rows_per_intent < 1 or dim < 1:
         raise DdceError("n_intents, rows_per_intent and dim must all be >= 1")
     if not (np.isfinite(blob_sigma) and blob_sigma >= 0):
         raise DdceError(f"blob_sigma must be finite and >= 0, got {blob_sigma}")
+    if n_intents * rows_per_intent >= EMB1_LIMIT or dim >= EMB1_LIMIT:
+        raise DdceError(f"{n_intents * rows_per_intent} rows of dim {dim} do not fit EMB1, "
+                        f"whose row count and dim are each below 2**32")
     centers = rng.normal(size=(n_intents, dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+    noise = rng.normal(size=(n_intents * rows_per_intent, dim))
     rows = []
-    noise = np.empty((n_intents * rows_per_intent, dim))
     for i in range(n_intents):
         for j in range(rows_per_intent):
             tokens = [
@@ -241,7 +244,6 @@ def generate_synthetic(
                     intent=f"{label_prefix}-{i}",
                 )
             )
-            noise[i * rows_per_intent + j] = rng.normal(size=dim)
     with np.errstate(over="ignore"):
         vectors = np.repeat(centers, rows_per_intent, axis=0) + blob_sigma * noise
     if not np.isfinite(vectors).all():

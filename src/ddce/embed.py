@@ -21,6 +21,7 @@ from .errors import (
 from .util import atomic_write_bytes, fnv1a64
 
 EMB1_MAGIC = b"EMB1"
+EMB1_LIMIT = 2**32  # rows and dim are u32 in the header, so each is below this
 
 
 @dataclass(frozen=True)

@@ -456,6 +456,67 @@ def ref_wilcoxon(diffs) -> float:
 
 
 # ---------------------------------------------------------------------------
+# K-means++ seeding and Lloyd iterations on nested lists
+
+def ref_kmeans(X, k, seed, restarts) -> list[int]:
+    """k-means by its textbook steps, in plain floats, with restart r
+    drawing from the stream ``substream(seed, "kmeans", r)`` rebuilt from
+    its SeedSequence entropy. Seeding: the first center is a uniformly
+    drawn row; each next one is row i with probability proportional to
+    w_i, its squared distance to the nearest chosen center, found by a
+    running sum over u ~ U(0, sum w) (a uniform row when sum w is 0).
+    Lloyd: every row goes to its nearest center, the smaller center on
+    ties; each non-empty cluster's center moves to the mean of its rows;
+    stop when no row moves or after 100 assignments. The restart with
+    the smallest sum of squared distances wins, the earliest on ties."""
+    points = [[float(v) for v in row] for row in X]
+    n = len(points)
+
+    def sq(p, c):
+        total = 0.0
+        for a, b in zip(p, c):
+            total += (a - b) ** 2
+        return total
+
+    best = None
+    for r in range(restarts):
+        rng = np.random.default_rng(np.random.SeedSequence([seed % 2**64, _fnv1a64("kmeans"), r]))
+        centers = [points[int(rng.integers(n))]]
+        while len(centers) < k:
+            weights = [min(sq(p, c) for c in centers) for p in points]
+            total = 0.0
+            for w in weights:
+                total += w
+            idx = n - 1
+            if total <= 0.0:
+                idx = int(rng.integers(n))
+            else:
+                draw, running = rng.uniform(0.0, total), 0.0
+                for i, w in enumerate(weights):
+                    running += w
+                    if running > draw:
+                        idx = i
+                        break
+            centers.append(points[idx])
+        assign = None
+        for _ in range(100):
+            new = [min(range(k), key=lambda c: (sq(p, centers[c]), c)) for p in points]
+            if new == assign:
+                break
+            assign = new
+            for c in range(k):
+                members = [p for p, a in zip(points, assign) if a == c]
+                if members:
+                    centers[c] = [sum(col) / len(members) for col in zip(*members)]
+        inertia = 0.0
+        for p, a in zip(points, assign):
+            inertia += sq(p, centers[a])
+        if best is None or inertia < best[0]:
+            best = (inertia, assign)
+    return best[1]
+
+
+# ---------------------------------------------------------------------------
 # Hashed TF-IDF rows
 
 def _fnv1a64(text: str) -> int:

@@ -10,9 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ddce.cli import _load_labeled, build_parser, main
+from ddce.cli import _load_inputs, build_parser, main
 from ddce.corpus import save_jsonl
-from ddce.pipeline import PipelineConfig
 from ddce.embed import EmbeddingMatrix, featurize, load_precomputed, save_embeddings
 
 from conftest import make_benchmark, make_labeled
@@ -141,6 +140,12 @@ class TestManifest:
                              "--embeddings", "emb"], ["labeled", "unlabeled", "emb"], 9),
         ("sweep-alpha", ["--labeled", "labeled", "--unlabeled", "unlabeled",
                          "--outlier-source", "source", "--alphas", "0.5", "--reps", "1"],
+         ["labeled", "unlabeled", "source"], 9),
+        ("sweep-outliers", ["--labeled", "labeled", "--unlabeled", "unlabeled_clean",
+                            "--outlier-source", "source", "--ratios", "0.5", "--seed", "6"],
+         ["labeled", "unlabeled_clean", "source"], 6),
+        ("sweep-size", ["--labeled", "labeled", "--unlabeled", "unlabeled",
+                        "--outlier-source", "source", "--o-values", "4", "--reps", "1"],
          ["labeled", "unlabeled", "source"], 9),
     ])
     def test_inputs_and_seed(self, files, command, flags, inputs, seed):
@@ -301,6 +306,26 @@ class TestMalformedInputs:
                    "--config", workspace["config"], "--out", str(tmp_path / "x"))
         assert f"{labeled}:" in self._assert_one_error(code, capsys)
 
+    PIPELINE_INPUTS = {  # each pipeline command's input flags, and the flags it also needs
+        "train": (("--labeled", "--outlier-source"), ()),
+        "ensemble": (("--labeled", "--unlabeled", "--outlier-source"), ()),
+        "baseline-kmeans": (("--labeled", "--unlabeled"), ()),
+        "sweep-alpha": (("--labeled", "--unlabeled", "--outlier-source"), ("--alphas", "0.5")),
+        "sweep-outliers": (("--labeled", "--unlabeled", "--outlier-source"), ("--ratios", "0.5")),
+        "sweep-size": (("--labeled", "--unlabeled", "--outlier-source"), ("--o-values", "4")),
+    }
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, (flags, _) in PIPELINE_INPUTS.items() for flag in flags])
+    def test_empty_input_path(self, workspace, tmp_path, capsys, command, flag):
+        """An empty path is a file that cannot be opened, not a flag left out."""
+        flags, extra = self.PIPELINE_INPUTS[command]
+        files = {"--labeled": "labeled", "--unlabeled": "unlabeled", "--outlier-source": "source"}
+        argv = [a for f in flags for a in (f, "" if f == flag else workspace[files[f]])]
+        code = run(command, *argv, *extra, "--config", workspace["config"],
+                   "--out", str(tmp_path / "x"))
+        self._assert_one_error(code, capsys)
+
     @pytest.mark.parametrize("command", ["inject", "train", "sweep-outliers"])
     def test_huge_outlier_ratio(self, workspace, tmp_path, capsys, command):
         """A finite ratio whose row count overflows is short of source rows."""
@@ -454,6 +479,21 @@ class TestMalformedInputs:
         assert "blob_sigma" in self._assert_one_error(code, capsys)
         assert not os.path.exists(out / "labeled.jsonl")
 
+    @pytest.mark.parametrize("sizes", [
+        ["--intents", "2", "--per-intent", str(10**20)],
+        ["--intents", str(10**20), "--per-intent", "2"],
+        ["--intents", "2", "--per-intent", "3", "--dim", str(10**20)],
+        ["--intents", str(2**16), "--per-intent", str(2**16)],
+        ["--intents", "1", "--per-intent", "3", "--dim", str(2**32)],
+    ])
+    def test_synth_beyond_emb1(self, tmp_path, capsys, sizes):
+        """EMB1 stores the row count and dim as u32: 2**32 rows or dims is
+        rejected before anything is drawn or written."""
+        out = tmp_path / "x"
+        code = run("synth", *sizes, "--out", str(out))
+        assert "do not fit EMB1" in self._assert_one_error(code, capsys)
+        assert not os.path.exists(out / "labeled.jsonl")
+
     def test_synth_sigma_beyond_float32(self, tmp_path, capsys):
         """The vectors are finite as float64 but overflow EMB1's float32:
         the error names the file, and neither file is written."""
@@ -499,7 +539,7 @@ class TestTrainAndBaseline:
         save_jsonl(make_labeled({"a": 60, "b": 4}), path)
         args = build_parser().parse_args(
             ["train", "--labeled", path, "--outlier-source", path, "--out", str(tmp_path), *flag])
-        d = _load_labeled(args, PipelineConfig())
+        _, d, *_ = _load_inputs(args)
         assert [sum(1 for r in d.rows if r.intent == i) for i in "ab"] == [expected, 4]
 
 

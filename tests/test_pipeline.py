@@ -9,6 +9,7 @@ from ddce.corpus import UnlabeledDataset, Utterance, generate_synthetic, inject_
 from ddce.embed import EmbeddingMatrix, TrainConfig
 from ddce.errors import ConfigError, DdceError
 from ddce.experiments import (
+    KMEANS_RESTARTS,
     baseline_cluster_count,
     kmeans_baseline,
     kmeans_labels,
@@ -34,7 +35,7 @@ from ddce.pipeline import (
 from ddce.search import SearchSpace
 
 from conftest import cosine_blobs_with_noise, make_benchmark, make_labeled
-from oracles import ref_wilcoxon
+from oracles import ref_kmeans, ref_wilcoxon
 
 
 def fast_cfg(**overrides) -> PipelineConfig:
@@ -206,6 +207,23 @@ class TestKmeans:
         truth = np.repeat([0, 1, 2], 20)
         labels = kmeans_labels(X, 3, seed=1)
         assert ari_labels(truth, labels) == 1.0
+
+    @pytest.mark.parametrize("case", range(100))
+    def test_matches_ref_kmeans(self, case):
+        """Four kinds of rows in turn: Gaussian; drawn with repeats from a
+        few distinct rows; all equal (zero seeding weights); small integers
+        (exact distance ties). Every fifth case has k = n."""
+        rng = np.random.default_rng(case)
+        n, d = int(rng.integers(1, 17)), int(rng.integers(1, 10))
+        X = [
+            lambda: rng.normal(size=(n, d)),
+            lambda: rng.normal(size=(max(1, n // 3), d))[rng.integers(0, max(1, n // 3), n)],
+            lambda: np.full((n, d), rng.normal()),
+            lambda: rng.integers(-2, 3, size=(n, d)).astype(float),
+        ][case % 4]()
+        k = n if case % 5 == 0 else int(rng.integers(1, n + 1))
+        seed = int(rng.integers(2**63))
+        assert kmeans_labels(X, k, seed).tolist() == ref_kmeans(X, k, seed, KMEANS_RESTARTS)
 
     def test_baseline_cluster_count_arithmetic(self):
         # avg 10 per intent, M=100 -> 4 * ceil(100/10) = 40 clusters requested
