@@ -289,6 +289,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DdceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

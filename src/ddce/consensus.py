@@ -9,9 +9,10 @@ The classic hypergraph partitioners are replaced by deterministic,
 dependency-free stand-ins: average-linkage agglomeration (CSPA, MCLA) and
 a greedy balanced min-hyperedge-cut (HGPA). Ties always break toward the
 smallest index. All three combiners read one hyperedge incidence matrix H,
-with a row per sample and a 0/1 column per non-outlier base cluster,
-built from ``PartitionSet.labels``, the K x n matrix of base labels that
-BOK and BOKV read directly.
+``PartitionSet.incidence``, with a row per sample and a 0/1 column per
+non-outlier base cluster. It is built once per ensemble from
+``PartitionSet.labels``, the K x n matrix of base labels that BOK and BOKV
+read directly.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ HGPA_RESTARTS = 8  # seeded descents per HGPA call; the lowest cut wins
 
 @dataclass(frozen=True)
 class PartitionSet:
-    """K aligned partitions plus each base model's validation recall."""
+    """K aligned partitions plus each base model's validation recall. The
+    label matrix and the hyperedge incidence matrix H are built once per
+    ensemble, on first use, and shared by every consensus function."""
 
     partitions: list[Partition]
     val_recalls: list[float] | None = None
@@ -64,6 +67,15 @@ class PartitionSet:
     def labels(self) -> np.ndarray:
         """K x n int matrix whose row i is partition i's labels."""
         return np.vstack([p.labels for p in self.partitions])
+
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """Hyperedge incidence matrix H: n x m floats, H[i, e] = 1 when
+        sample i is in cluster e, one column per non-outlier cluster in
+        (partition, label value) order. Products of H hold exact integer
+        counts."""
+        columns = [lab[:, None] == np.unique(lab[lab != -1]) for lab in self.labels]
+        return np.hstack(columns).astype(float)
 
 
 def k_target(ts: PartitionSet) -> int:
@@ -132,36 +144,23 @@ def average_linkage_labels(D: np.ndarray, k: int) -> np.ndarray:
     return canonicalize_labels(group_of)
 
 
-def _incidence(ts: PartitionSet) -> np.ndarray:
-    """Hyperedge incidence matrix H: n x m floats, H[i, e] = 1 when sample
-    i is in cluster e, one column per non-outlier cluster in (partition,
-    label value) order. Products of H hold exact integer counts."""
-    columns = [lab[:, None] == np.unique(lab[lab != -1]) for lab in ts.labels]
-    return np.hstack(columns).astype(float)
-
-
 def cspa(ts: PartitionSet) -> Partition:
     """Cluster-based similarity partitioning: average-linkage consensus on
     the co-association matrix. Samples co-clustered with nobody in any
     model (every cluster holding them is a singleton) become outliers."""
-    H = _incidence(ts)
+    H = ts.incidence
     rest = np.flatnonzero(H[:, H.sum(axis=0) > 1].any(axis=1))
     shared = H[rest]
     labels = np.full(ts.n, -1, dtype=int)
+    # rest ascends and its labels are numbered by first appearance, so labels is canonical.
     labels[rest] = average_linkage_labels(1.0 - shared @ shared.T / ts.k, k_target(ts))
-    return Partition(labels=canonicalize_labels(labels), ids=ts.ids)
+    return Partition(labels=labels, ids=ts.ids)
 
 
-def _cut(H: np.ndarray, labels: np.ndarray) -> int:
-    """Number of hyperedges whose members fall in more than one part."""
-    values, part = np.unique(labels, return_inverse=True)
-    counts = H.T @ (part[:, None] == np.arange(len(values)))
-    return int(np.count_nonzero(np.count_nonzero(counts, axis=1) > 1))
-
-
-def _hgpa_descend(H, k, part) -> None:
+def _hgpa_descend(H, k, part) -> int:
     """Best-improvement single-vertex moves until no move reduces the cut;
-    mutates ``part`` in place.
+    mutates ``part`` in place and returns the final cut, the number of
+    hyperedges whose members fall in more than one part.
 
     With c the edge-by-part member counts and P(e) the number of parts
     edge e touches, moving v from part s to d changes the cut by
@@ -186,7 +185,7 @@ def _hgpa_descend(H, k, part) -> None:
         delta[~allowed] = 0
         v, dst = divmod(int(np.argmin(delta)), k)
         if delta[v, dst] >= 0:
-            break
+            return int(np.count_nonzero(spans > 1))
         src = part[v]
         counts[:, src] -= H[v]
         counts[:, dst] += H[v]
@@ -215,14 +214,13 @@ def hgpa(ts: PartitionSet, seed: int = 0, k: int | None = None) -> Partition:
     if n == 0:
         return Partition(labels=np.empty(0, dtype=int), ids=ts.ids)
     k = min(k_target(ts) if k is None else k, n)
-    H = _incidence(ts)
+    H = ts.incidence
     best_part = None
     best_cut = None
     for r in range(HGPA_RESTARTS):
         part = np.empty(n, dtype=int)
         part[substream(seed, "hgpa", r).permutation(n)] = np.arange(n) % k
-        _hgpa_descend(H, k, part)
-        cut = _cut(H, part)
+        cut = _hgpa_descend(H, k, part)
         if best_cut is None or cut < best_cut:
             best_part, best_cut = part, cut
         if best_cut == 0:
@@ -234,7 +232,7 @@ def mcla(ts: PartitionSet) -> Partition:
     """Meta-clustering consensus: group the clusters themselves by Jaccard
     similarity into k_target meta-clusters, then give each sample the
     meta-cluster holding the largest fraction of its K labels."""
-    H = _incidence(ts)
+    H = ts.incidence
     labels = np.full(ts.n, -1, dtype=int)
     m = H.shape[1]
     if m == 0:

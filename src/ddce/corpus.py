@@ -32,22 +32,32 @@ class Utterance:
             raise DdceError(f"row {self.id!r}: injected outlier must not carry an intent")
 
 
-def _check_unique_ids(rows: list[Utterance]) -> None:
-    seen = set()
-    for row in rows:
-        if row.id in seen:
-            raise DdceError(f"duplicate utterance id {row.id!r}")
-        seen.add(row.id)
-
-
 @dataclass(frozen=True)
-class LabeledDataset:
-    """Utterances with intent labels; injected outlier rows may be appended."""
+class Dataset:
+    """Utterance rows with unique ids; the base of both dataset types."""
 
     rows: list[Utterance] = field(default_factory=list)
 
     def __post_init__(self):
-        _check_unique_ids(self.rows)
+        seen = set()
+        for row in self.rows:
+            if row.id in seen:
+                raise DdceError(f"duplicate utterance id {row.id!r}")
+            seen.add(row.id)
+
+    def texts(self) -> list[str]:
+        return [r.text for r in self.rows]
+
+    def ids(self) -> list[str]:
+        return [r.id for r in self.rows]
+
+
+@dataclass(frozen=True)
+class LabeledDataset(Dataset):
+    """Utterances with intent labels; injected outlier rows may be appended."""
+
+    def __post_init__(self):
+        super().__post_init__()
         for row in self.rows:
             if row.intent is None and not row.is_injected_outlier:
                 raise DdceError(f"labeled row {row.id!r} is missing its intent")
@@ -64,35 +74,18 @@ class LabeledDataset:
     def N(self) -> int:
         return len(self.rows)
 
-    def texts(self) -> list[str]:
-        return [r.text for r in self.rows]
-
-    def ids(self) -> list[str]:
-        return [r.id for r in self.rows]
-
     def to_unlabeled(self) -> "UnlabeledDataset":
         """Reinterpret as unlabeled data; intents are kept as hidden ground truth."""
         return UnlabeledDataset(rows=list(self.rows))
 
 
 @dataclass(frozen=True)
-class UnlabeledDataset:
+class UnlabeledDataset(Dataset):
     """Utterances to be clustered; intent, when present, is hidden ground truth."""
-
-    rows: list[Utterance] = field(default_factory=list)
-
-    def __post_init__(self):
-        _check_unique_ids(self.rows)
 
     @property
     def M(self) -> int:
         return len(self.rows)
-
-    def texts(self) -> list[str]:
-        return [r.text for r in self.rows]
-
-    def ids(self) -> list[str]:
-        return [r.id for r in self.rows]
 
 
 @dataclass(frozen=True)
@@ -101,7 +94,6 @@ class IntentDisjointSplit:
 
     rl: LabeledDataset
     hs: LabeledDataset
-    alpha: float
 
     def __post_init__(self):
         overlap = set(self.rl.intents) & set(self.hs.intents)
@@ -128,9 +120,7 @@ def split_by_intents(
     hs_intents = {intents[i] for i in picked}
     hs_rows = [r for r in d.rows if r.intent in hs_intents]
     rl_rows = [r for r in d.rows if r.intent not in hs_intents]
-    return IntentDisjointSplit(
-        rl=LabeledDataset(rows=rl_rows), hs=LabeledDataset(rows=hs_rows), alpha=alpha
-    )
+    return IntentDisjointSplit(rl=LabeledDataset(rows=rl_rows), hs=LabeledDataset(rows=hs_rows))
 
 
 def inner_split(
@@ -163,7 +153,7 @@ def inner_split(
     return LabeledDataset(rows=train_rows), LabeledDataset(rows=val_rows)
 
 
-def append_outliers(d, source: UnlabeledDataset, ratio: float, pick):
+def append_outliers(d: Dataset, source: UnlabeledDataset, ratio: float, pick) -> Dataset:
     """Append round(ratio * |d|) rows of ``source``, those at the indices
     ``pick(n)`` returns in that order, flagged as injected outliers with the
     intent cleared. Returns a dataset of the same type as ``d``; original
@@ -190,7 +180,7 @@ def append_outliers(d, source: UnlabeledDataset, ratio: float, pick):
     return type(d)(rows=list(d.rows) + injected)
 
 
-def inject_outliers(d, source: UnlabeledDataset, ratio: float, rng: np.random.Generator):
+def inject_outliers(d: Dataset, source: UnlabeledDataset, ratio: float, rng: np.random.Generator):
     """:func:`append_outliers` with the rows sampled without replacement."""
     return append_outliers(
         d, source, ratio, lambda n: sorted(rng.choice(source.M, size=n, replace=False))
@@ -298,7 +288,7 @@ def _obj_to_row(obj: dict, where: str) -> Utterance:
     return Utterance(id=obj["id"], text=obj["text"], intent=intent, is_injected_outlier=outlier)
 
 
-def save_jsonl(dataset, path: str) -> None:
+def save_jsonl(dataset: Dataset, path: str) -> None:
     """Write a dataset as one JSON object per line, UTF-8, LF endings."""
     write_jsonl(path, map(_row_to_obj, dataset.rows))
 

@@ -10,10 +10,10 @@ from dataclasses import replace
 import numpy as np
 
 from . import metrics, optics
-from .corpus import LabeledDataset, UnlabeledDataset, append_outliers, inner_split
-from .embed import EmbeddingMatrix, encode, train_encoder
+from .corpus import LabeledDataset, UnlabeledDataset, append_outliers
+from .embed import EmbeddingMatrix, encode
 from .errors import DdceError
-from .pipeline import INNER_HOLDOUT, PipelineConfig, run_ddce
+from .pipeline import PipelineConfig, fit_encoder, run_ddce
 from .util import csv_text, derive_seed, substream
 
 KMEANS_RESTARTS = 10  # seeded k-means runs per baseline; the lowest inertia wins
@@ -80,9 +80,8 @@ def kmeans_baseline(
     if embeddings is not None:
         e_ul = embeddings.rows_for_ids(d_ul.ids())
     else:
-        train, val = inner_split(d_l, INNER_HOLDOUT, substream(cfg.master_seed, "baseline-inner"))
-        train_cfg = replace(cfg.train_cfg, seed=derive_seed(cfg.master_seed, "baseline-train"))
-        encoder, _ = train_encoder(train, val, train_cfg)
+        encoder, _ = fit_encoder(d_l, cfg.train_cfg, substream(cfg.master_seed, "baseline-inner"),
+                                 derive_seed(cfg.master_seed, "baseline-train"))
         e_ul = encode(encoder, d_ul.texts(), ids=d_ul.ids())
     assign = kmeans_labels(e_ul.data, k_c, derive_seed(cfg.master_seed, "baseline-kmeans"))
     part = optics.Partition(labels=assign, ids=d_ul.ids())

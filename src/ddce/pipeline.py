@@ -75,6 +75,14 @@ class RunReport:
     elapsed_seconds: float
 
 
+def fit_encoder(d: LabeledDataset, train_cfg: TrainConfig, split_rng, seed: int):
+    """Train an encoder with training seed ``seed`` on ``d`` less a stratified
+    ``INNER_HOLDOUT`` validation share drawn with ``split_rng``; returns the
+    encoder and its validation accuracy."""
+    train, val = inner_split(d, INNER_HOLDOUT, split_rng)
+    return train_encoder(train, val, replace(train_cfg, seed=seed))
+
+
 def train_base_models(
     d_l: LabeledDataset,
     outlier_source: UnlabeledDataset,
@@ -94,13 +102,10 @@ def train_base_models(
                 substream(cfg.master_seed, "inject", k),
             )
             if embeddings is None:
-                train, val = inner_split(
-                    split.rl, INNER_HOLDOUT, substream(cfg.master_seed, "inner", k)
+                encoder, enc_acc = fit_encoder(
+                    split.rl, cfg.train_cfg, substream(cfg.master_seed, "inner", k),
+                    derive_seed(cfg.master_seed, "train", k),
                 )
-                train_cfg_k = replace(
-                    cfg.train_cfg, seed=derive_seed(cfg.master_seed, "train", k)
-                )
-                encoder, enc_acc = train_encoder(train, val, train_cfg_k)
                 e_hs = encode(encoder, hs_val.texts(), ids=hs_val.ids())
             else:
                 encoder, enc_acc = None, None

@@ -504,6 +504,24 @@ class TestMalformedInputs:
         assert not os.path.exists(out / "labeled.jsonl")
         assert not os.path.exists(out / "oracle.emb1")
 
+    @pytest.mark.parametrize("message, expected", [
+        ("Unable to allocate 32.0 GiB for an array with shape (4294901795, 1) and data type "
+         "float64", "error: out of memory: Unable to allocate 32.0 GiB for an array with shape "
+         "(4294901795, 1) and data type float64"),
+        ("", "error: out of memory"),
+    ], ids=["numpy-message", "empty-message"])
+    def test_out_of_memory(self, tmp_path, capsys, monkeypatch, message, expected):
+        """A MemoryError ends in exit 2 and one error line, not a traceback.
+        The allocation failure is simulated; nothing large is allocated."""
+        def no_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("ddce.corpus.generate_synthetic", no_memory)
+        code = run("synth", "--intents", "65535", "--per-intent", "65537", "--dim", "1",
+                   "--out", str(tmp_path / "x"))
+        assert self._assert_one_error(code, capsys) == expected
+        assert not os.path.exists(tmp_path / "x" / "labeled.jsonl")
+
     @staticmethod
     def _assert_one_error(code, capsys):
         err = capsys.readouterr().err.splitlines()

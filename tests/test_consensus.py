@@ -3,8 +3,7 @@ import pytest
 
 from ddce.consensus import (
     PartitionSet,
-    _cut,
-    _incidence,
+    _hgpa_descend,
     average_linkage_labels,
     bok,
     bokv,
@@ -39,13 +38,13 @@ from oracles import (
 def co_association(ts):
     """Fraction of the base models co-clustering each pair, as CSPA builds
     it from the incidence matrix."""
-    H = _incidence(ts)
+    H = ts.incidence
     return H @ H.T / ts.k
 
 
 def hyperedge_cut(ts, labels):
-    """Hyperedges spanning more than one part, as HGPA counts them."""
-    return _cut(_incidence(ts), labels)
+    """Hyperedges spanning more than one part, counted edge by edge."""
+    return hyperedge_cut_value(ref_hyperedges(ts.labels.tolist()), list(labels))
 
 
 def P(labels, n=None):
@@ -75,6 +74,12 @@ class TestPartitionSet:
         ts = TS([[0, 1, -1], [2, 2, 0]])
         assert ts.labels.tolist() == [[0, 1, -1], [2, 2, 0]]
         assert TS([[], []]).labels.shape == (2, 0)
+
+    def test_incidence_built_once(self):
+        ts = TS([[0, 1, -1], [2, 2, 0]])
+        assert ts.incidence.tolist() == [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 0]]
+        assert ts.incidence is ts.incidence
+        assert TS([[-1, -1]]).incidence.shape == (2, 0)
 
 
 class TestKTarget:
@@ -290,12 +295,17 @@ class TestIncidenceOracles:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_hyperedge_cut_equals_per_edge_count(self, seed):
+        """The cut a descent returns equals the per-edge count of the parts
+        it leaves, from seeded balanced starts at k_target and random k."""
         labelsets = random_labelsets(seed)
         ts = TS(labelsets)
         edges = ref_hyperedges(labelsets)
         rng = np.random.default_rng(1000 + seed)
-        for labels in (rng.integers(-1, 4, size=ts.n), hgpa(ts, seed=seed).labels):
-            assert hyperedge_cut(ts, labels) == hyperedge_cut_value(edges, labels.tolist())
+        for k in (min(k_target(ts), ts.n), *rng.integers(1, ts.n + 1, size=3).tolist()):
+            part = np.empty(ts.n, dtype=int)
+            part[rng.permutation(ts.n)] = np.arange(ts.n) % k
+            cut = _hgpa_descend(ts.incidence, k, part)
+            assert cut == hyperedge_cut_value(edges, part.tolist())
 
 
 class TestHgpaOracle:

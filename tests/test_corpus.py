@@ -49,6 +49,14 @@ class TestDatasetModel:
         d = make_labeled({"a": 3, "b": 2})
         assert d.O == 2 and d.N == 5 and d.intents == ("a", "b")
 
+    def test_labeled_and_unlabeled_with_same_rows_differ(self):
+        d = make_labeled({"a": 3, "b": 2})
+        u = UnlabeledDataset(rows=list(d.rows))
+        assert d.texts() == u.texts() and d.ids() == u.ids()
+        assert d != u and u != d
+        assert d.to_unlabeled() == u
+        assert LabeledDataset(rows=list(d.rows)) == d
+
 
 class TestSplitByIntents:
     def test_even_split(self):
@@ -182,6 +190,11 @@ class TestInjectOutliers:
         d = make_labeled({"a": 4}).to_unlabeled()
         out = inject_outliers(d, outlier_source(), 0.5, seeded())
         assert isinstance(out, UnlabeledDataset) and out.M == 6
+
+    def test_keeps_labeled_type(self):
+        d = make_labeled({"a": 4})
+        out = inject_outliers(d, outlier_source(), 0.5, seeded())
+        assert type(out) is LabeledDataset and out.N == 6 and out.intents == ("a",)
 
 
 class TestGenerateSynthetic:

@@ -5,7 +5,7 @@ from ddce import metrics, optics
 from ddce.corpus import generate_synthetic, inject_outliers
 from ddce.embed import EmbeddingMatrix
 from ddce.errors import AlignmentError, DdceError, EmptySearchError
-from ddce.search import SearchSpace, random_search, sample_params, trials_to_csv
+from ddce.search import SearchSpace, random_search, sample_params, save_trial_log, trials_to_csv
 from ddce.util import substream
 
 
@@ -148,3 +148,14 @@ class TestRandomSearch:
         lines = trials_to_csv(result).strip().splitlines()
         assert lines[0] == "trial_idx,max_eps,xi,min_samples,score_c,score_ari,score"
         assert len(lines) == 6
+
+    def test_save_trial_log_writes_the_csv(self, tmp_path):
+        truth, e_hs = synthetic_validation(4)
+        result = random_search(e_hs, truth, SearchSpace(n_trials=5), 2, seed=0)
+        path = tmp_path / "logs" / "trials.csv"
+        save_trial_log(result, str(path))
+        assert path.read_bytes() == trials_to_csv(result).encode("utf-8")
+        assert path.read_text().startswith(
+            "trial_idx,max_eps,xi,min_samples,score_c,score_ari,score\n"
+        )
+        assert [p.name for p in path.parent.iterdir()] == ["trials.csv"]
