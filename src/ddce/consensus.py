@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AlignmentError, DdceError
+from .errors import DdceError
 from .metrics import nmi_labels
 from .optics import Partition, canonicalize_labels
 from .util import round_half_up, substream
@@ -45,7 +45,7 @@ class PartitionSet:
         ids = self.partitions[0].ids
         for p in self.partitions[1:]:
             if p.ids != ids:
-                raise AlignmentError("base partitions are not aligned on ids")
+                raise DdceError("base partitions are not aligned on ids")
         if self.val_recalls is not None and len(self.val_recalls) != len(self.partitions):
             raise DdceError(
                 f"{len(self.val_recalls)} recalls for {len(self.partitions)} partitions"

@@ -9,12 +9,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    DdceError,
-    InsufficientOutlierSourceError,
-    StratificationError,
-    UnsplittableDatasetError,
-)
+from .errors import DdceError
 from .util import read_jsonl, round_half_up, write_jsonl
 
 
@@ -111,7 +106,7 @@ def split_by_intents(
     intent); the rest go to the representation-learning side.
     """
     if d.O < 2:
-        raise UnsplittableDatasetError(f"need at least 2 intents to split, got {d.O}")
+        raise DdceError(f"need at least 2 intents to split, got {d.O}")
     if not 0.0 < alpha < 1.0:
         raise DdceError(f"alpha must be in (0, 1), got {alpha}")
     intents = list(d.intents)
@@ -142,9 +137,7 @@ def inner_split(
     for intent in sorted(by_intent):
         indices = by_intent[intent]
         if len(indices) < 2:
-            raise StratificationError(
-                f"intent {intent!r} has {len(indices)} example(s); need at least 2"
-            )
+            raise DdceError(f"intent {intent!r} has {len(indices)} example(s); need at least 2")
         n_val = min(max(round_half_up(holdout_fraction * len(indices)), 1), len(indices) - 1)
         picked = rng.choice(len(indices), size=n_val, replace=False)
         val_indices.update(indices[i] for i in picked)
@@ -164,7 +157,7 @@ def append_outliers(d: Dataset, source: UnlabeledDataset, ratio: float, pick) ->
     # compared unrounded, since a huge finite ratio can make wanted inf.
     wanted = ratio * len(d.rows)
     if wanted >= source.M + 0.5:
-        raise InsufficientOutlierSourceError(
+        raise DdceError(
             f"outlier source has {source.M} rows, need {ratio:g} x {len(d.rows)} = {wanted:g}"
         )
     n_inject = round_half_up(wanted)

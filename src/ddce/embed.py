@@ -11,13 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import LabeledDataset
-from .errors import (
-    AlignmentError,
-    DdceError,
-    EmbeddingFormatError,
-    EmbeddingTruncatedError,
-    EmbeddingValueError,
-)
+from .errors import DdceError
 from .util import atomic_write_bytes, fnv1a64
 
 EMB1_MAGIC = b"EMB1"
@@ -54,7 +48,7 @@ class EmbeddingMatrix:
         index = {rid: i for i, rid in enumerate(self.row_ids)}
         missing = [rid for rid in ids if rid not in index]
         if missing:
-            raise AlignmentError(f"ids missing from embeddings: {missing[:5]}")
+            raise DdceError(f"ids missing from embeddings: {missing[:5]}")
         sel = np.array([index[rid] for rid in ids], dtype=int)
         return EmbeddingMatrix(data=self.data[sel].copy(), row_ids=list(ids))
 
@@ -115,6 +109,9 @@ class TrainConfig:
             raise DdceError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
         if self.feature_dim < 16:
             raise DdceError(f"feature_dim must be >= 16, got {self.feature_dim}")
+        if self.feature_dim * self.hidden_dim >= 2**32:
+            raise DdceError(f"feature_dim * hidden_dim must be below 2**32, "
+                            f"got {self.feature_dim} * {self.hidden_dim}")
 
 
 @dataclass(frozen=True)
@@ -145,8 +142,10 @@ def loss_and_grads(
     logits = Z @ U + c
     logits -= logits.max(axis=1, keepdims=True)
     exp = np.exp(logits)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    loss = float(-np.log(probs[np.arange(n), y]).mean())
+    sums = exp.sum(axis=1, keepdims=True)
+    probs = exp / sums
+    # log-sum-exp form: each row sum is >= 1, so no log(0) when a probability underflows
+    loss = float((np.log(sums[:, 0]) - logits[np.arange(n), y]).mean())
     dlogits = probs.copy()
     dlogits[np.arange(n), y] -= 1.0
     dlogits /= n
@@ -237,7 +236,7 @@ def save_embeddings(m: EmbeddingMatrix, path: str) -> None:
     with np.errstate(over="ignore"):
         payload = np.ascontiguousarray(m.data, dtype="<f4")
     if np.isinf(payload).any():
-        raise EmbeddingValueError(f"{path}: embedding values overflow float32")
+        raise DdceError(f"{path}: embedding values overflow float32")
     parts = [EMB1_MAGIC, struct.pack("<II", m.n, m.d)]
     for rid in m.row_ids:
         raw = rid.encode("utf-8")
@@ -255,40 +254,36 @@ def load_precomputed(path: str) -> EmbeddingMatrix:
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != EMB1_MAGIC:
-        raise EmbeddingFormatError(f"{path}: bad magic {blob[:4]!r}, expected {EMB1_MAGIC!r}")
+        raise DdceError(f"{path}: bad magic {blob[:4]!r}, expected {EMB1_MAGIC!r}")
     if len(blob) < 12:
-        raise EmbeddingTruncatedError(f"{path}: header truncated")
+        raise DdceError(f"{path}: header truncated")
     n, d = struct.unpack_from("<II", blob, 4)
     offset = 12
     ids = []
     seen = set()
     for _ in range(n):
         if offset + 2 > len(blob):
-            raise EmbeddingTruncatedError(f"{path}: id table truncated")
+            raise DdceError(f"{path}: id table truncated")
         (id_len,) = struct.unpack_from("<H", blob, offset)
         offset += 2
         if offset + id_len > len(blob):
-            raise EmbeddingTruncatedError(f"{path}: id table truncated")
+            raise DdceError(f"{path}: id table truncated")
         try:
             rid = blob[offset : offset + id_len].decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise EmbeddingFormatError(f"{path}: row {len(ids)} id is not UTF-8: {exc}") from exc
+            raise DdceError(f"{path}: row {len(ids)} id is not UTF-8: {exc}") from exc
         if rid in seen:
-            raise EmbeddingFormatError(f"{path}: row {len(ids)} repeats id {rid!r}")
+            raise DdceError(f"{path}: row {len(ids)} repeats id {rid!r}")
         seen.add(rid)
         ids.append(rid)
         offset += id_len
     need = n * d * 4
     if len(blob) - offset < need:
-        raise EmbeddingTruncatedError(
-            f"{path}: payload has {len(blob) - offset} bytes, need {need}"
-        )
+        raise DdceError(f"{path}: payload has {len(blob) - offset} bytes, need {need}")
     if len(blob) - offset > need:
-        raise EmbeddingFormatError(
-            f"{path}: payload has {len(blob) - offset} bytes, header promises {need}"
-        )
+        raise DdceError(f"{path}: payload has {len(blob) - offset} bytes, header promises {need}")
     data = np.frombuffer(blob, dtype="<f4", count=n * d, offset=offset).reshape(n, d)
     # Checked before the cast, which warns on a signaling NaN.
     if data.size and not np.all(np.isfinite(data)):
-        raise EmbeddingValueError(f"{path}: embedding payload contains non-finite values")
+        raise DdceError(f"{path}: embedding payload contains non-finite values")
     return EmbeddingMatrix(data=data.astype(np.float64), row_ids=ids)

@@ -16,7 +16,7 @@ from math import comb, log, sqrt
 
 import numpy as np
 
-from .errors import AlignmentError, DdceError, MissingGroundTruthError
+from .errors import DdceError
 from .optics import Partition
 
 OUTLIER_TRUTH_LABEL = -2  # ground-truth class shared by all injected outliers
@@ -45,9 +45,9 @@ def _pairs(counts: np.ndarray) -> int:
 
 def _require_aligned(p: Partition, q: Partition) -> None:
     if p.n != q.n:
-        raise AlignmentError(f"partition lengths differ: {p.n} vs {q.n}")
+        raise DdceError(f"partition lengths differ: {p.n} vs {q.n}")
     if p.ids != q.ids:
-        raise AlignmentError("partition ids are not aligned")
+        raise DdceError("partition ids are not aligned")
 
 
 def _entropy(totals: np.ndarray, n: int) -> float:
@@ -61,7 +61,7 @@ def nmi_labels(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a)
     b = np.asarray(b)
     if len(a) != len(b):
-        raise AlignmentError(f"label arrays differ in length: {len(a)} vs {len(b)}")
+        raise DdceError(f"label arrays differ in length: {len(a)} vs {len(b)}")
     counts = _contingency(a, b)
     if _same_grouping(counts):
         return 1.0
@@ -88,7 +88,7 @@ def ari_labels(truth: np.ndarray, pred: np.ndarray) -> float:
     truth = np.asarray(truth)
     pred = np.asarray(pred)
     if len(truth) != len(pred):
-        raise AlignmentError(f"label arrays differ in length: {len(truth)} vs {len(pred)}")
+        raise DdceError(f"label arrays differ in length: {len(truth)} vs {len(pred)}")
     if len(truth) < 2:
         raise DdceError(f"ARI needs at least 2 samples, got {len(truth)}")
     counts = _contingency(truth, pred)
@@ -111,9 +111,7 @@ def nonoutlier_recall(truth_outlier_flags: np.ndarray | list[bool], pred: Partit
     """Fraction of true non-outliers assigned to some cluster; vacuously 1.0
     when every sample is a true outlier."""
     if len(truth_outlier_flags) != pred.n:
-        raise AlignmentError(
-            f"{len(truth_outlier_flags)} flags but {pred.n} predictions"
-        )
+        raise DdceError(f"{len(truth_outlier_flags)} flags but {pred.n} predictions")
     flags = np.asarray(truth_outlier_flags, dtype=bool)
     n_true = int((~flags).sum())
     if n_true == 0:
@@ -155,15 +153,13 @@ def ground_truth_labels(d_truth, pred_ids: list[str]) -> np.ndarray:
     for i, rid in enumerate(pred_ids):
         row = by_id.get(rid)
         if row is None:
-            raise AlignmentError(f"predicted id {rid!r} not present in ground truth")
+            raise DdceError(f"predicted id {rid!r} not present in ground truth")
         if row.is_injected_outlier:
             labels[i] = OUTLIER_TRUTH_LABEL
         elif row.intent is not None:
             labels[i] = intent_ids.setdefault(row.intent, len(intent_ids))
         else:
-            raise MissingGroundTruthError(
-                f"row {rid!r} has neither an intent nor an outlier flag"
-            )
+            raise DdceError(f"row {rid!r} has neither an intent nor an outlier flag")
     return labels
 
 
@@ -181,7 +177,7 @@ def score(d_truth, pred: Partition) -> Scores:
     # rows make it one partition row per truth row.
     distinct = len(set(pred.ids))
     if not distinct == pred.n == len(d_truth.rows):
-        raise AlignmentError(
+        raise DdceError(
             f"expected one partition row per truth row, got {pred.n} rows with "
             f"{distinct} distinct ids for {len(d_truth.rows)} truth rows"
         )

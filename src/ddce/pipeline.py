@@ -17,7 +17,7 @@ from . import consensus as consensus_mod
 from . import metrics, optics
 from .corpus import LabeledDataset, UnlabeledDataset, inject_outliers, inner_split, split_by_intents
 from .embed import EmbeddingMatrix, EncoderModel, TrainConfig, encode, train_encoder
-from .errors import ConfigError, DdceError
+from .errors import DdceError
 from .search import SearchSpace, random_search
 from .util import derive_seed, substream
 
@@ -115,7 +115,7 @@ def train_base_models(
                 seed=derive_seed(cfg.master_seed, "search", k), metric=cfg.metric,
             )
         except DdceError as exc:
-            raise type(exc)(f"base model {k}: {exc}") from exc
+            raise DdceError(f"base model {k}: {exc}") from exc
         artifacts.append(
             BaseModelArtifact(
                 encoder=encoder,
@@ -213,17 +213,17 @@ def _from_json(cls, obj, where: str, prefix: str = ""):
     a default are rejected; ``where`` names the object in messages and
     ``prefix`` is prepended to its field names."""
     if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected object, got {_json_type(obj)}")
+        raise DdceError(f"{where}: expected object, got {_json_type(obj)}")
     unknown = set(obj) - {f.name for f in fields(cls)}
     if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+        raise DdceError(f"unknown {where} keys: {sorted(unknown)}")
     hints = get_type_hints(cls)
     kwargs = {}
     for f in fields(cls):
         if f.name in obj:
             kwargs[f.name] = _value_from_json(hints[f.name], obj[f.name], prefix + f.name)
         elif f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"{where} is missing {f.name!r}")
+            raise DdceError(f"{where} is missing {f.name!r}")
     return cls(**kwargs)
 
 
@@ -245,23 +245,23 @@ def _value_from_json(hint, value, path: str):
             return None
         (hint,) = [a for a in args if a is not type(None)]
     elif value is None:
-        raise ConfigError(f"{path} must not be null")
+        raise DdceError(f"{path} must not be null")
     if is_dataclass(hint):
         return _from_json(hint, value, path, path + ".")
     if get_origin(hint) is tuple:
         n = None if args[-1] is Ellipsis else len(args)
         if not isinstance(value, list) or (n is not None and len(value) != n):
             expected = "array" if n is None else f"array of {n} values"
-            raise ConfigError(f"{path}: expected {expected}, got {json.dumps(value)}")
+            raise DdceError(f"{path}: expected {expected}, got {json.dumps(value)}")
         return tuple(_value_from_json(args[0 if n is None else i], v, f"{path}[{i}]")
                      for i, v in enumerate(value))
     if hint is np.ndarray:
         try:
             return np.array(value, dtype=float)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: expected numeric array: {exc}") from exc
+            raise DdceError(f"{path}: expected numeric array: {exc}") from exc
     if isinstance(value, bool) or not isinstance(value, _SCALARS[hint]):
-        raise ConfigError(f"{path}: expected {_JSON_TYPES[hint]}, got {_json_type(value)}")
+        raise DdceError(f"{path}: expected {_JSON_TYPES[hint]}, got {_json_type(value)}")
     return value
 
 

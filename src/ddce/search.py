@@ -9,7 +9,7 @@ import numpy as np
 
 from . import metrics, optics
 from .embed import EmbeddingMatrix
-from .errors import AlignmentError, DdceError, EmptySearchError
+from .errors import DdceError
 from .util import atomic_write_text, csv_text, substream
 
 
@@ -36,7 +36,7 @@ class SearchSpace:
         if self.min_samples_range[1] >= 2**63:  # the sampler draws int64
             raise DdceError(f"min_samples_range must end below 2**63, got {self.min_samples_range}")
         if self.n_trials < 1:
-            raise EmptySearchError(f"n_trials must be >= 1, got {self.n_trials}")
+            raise DdceError(f"n_trials must be >= 1, got {self.n_trials}")
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def random_search(
     """
     truth_ids = [r.id for r in truth.rows]
     if e_hs.row_ids != truth_ids:
-        raise AlignmentError("embedding rows are not aligned with the validation rows")
+        raise DdceError("embedding rows are not aligned with the validation rows")
     truth_labels = metrics.ground_truth_labels(truth, e_hs.row_ids)
     nbrs = optics.pairwise_distances(e_hs.data, metric, space.max_eps_range[1])
     trials = []

@@ -409,6 +409,9 @@ class TestMalformedInputs:
         ({"search_space": {"n_trials": 0}}, "n_trials"),
         ({"train_cfg": {"feature_dim": 8}}, "feature_dim"),
         ({"search_space": {"min_samples_range": [2, 2**63]}}, "min_samples_range"),
+        ({"train_cfg": {"feature_dim": 2**62}}, "feature_dim"),
+        ({"train_cfg": {"hidden_dim": 2**62}}, "hidden_dim"),
+        ({"train_cfg": {"feature_dim": 10**23}}, "feature_dim"),
     ])
     def test_out_of_range_config_fails_at_load(self, workspace, tmp_path, capsys, config, key):
         """Rejected before any base model trains, with the key named."""

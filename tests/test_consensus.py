@@ -18,7 +18,7 @@ from ddce.consensus import (
     outlier_vote,
     run_consensus,
 )
-from ddce.errors import AlignmentError, DdceError
+from ddce.errors import DdceError
 from ddce.metrics import nmi
 from ddce.optics import Partition
 
@@ -59,7 +59,7 @@ def TS(labelsets, recalls=None):
 class TestPartitionSet:
     def test_alignment_enforced(self):
         bad = Partition(labels=np.array([0, 1]), ids=["x", "y"])
-        with pytest.raises(AlignmentError):
+        with pytest.raises(DdceError, match="base partitions are not aligned on ids"):
             PartitionSet(partitions=[P([0, 1]), bad])
 
     def test_recall_count_checked(self):

@@ -17,12 +17,7 @@ from ddce.corpus import (
     save_jsonl,
     split_by_intents,
 )
-from ddce.errors import (
-    DdceError,
-    InsufficientOutlierSourceError,
-    StratificationError,
-    UnsplittableDatasetError,
-)
+from ddce.errors import DdceError
 
 from conftest import make_labeled
 
@@ -76,7 +71,7 @@ class TestSplitByIntents:
         assert len(split.hs.intents) == 3 and len(split.rl.intents) == 2
 
     def test_single_intent_rejected(self):
-        with pytest.raises(UnsplittableDatasetError):
+        with pytest.raises(DdceError, match="need at least 2 intents to split, got 1"):
             split_by_intents(make_labeled({"a": 4}), 0.5, seeded())
 
     def test_alpha_bounds(self):
@@ -122,7 +117,7 @@ class TestInnerSplit:
 
     def test_singleton_intent_rejected(self):
         d = make_labeled({"a": 1, "b": 3})
-        with pytest.raises(StratificationError):
+        with pytest.raises(DdceError, match=r"intent 'a' has 1 example\(s\); need at least 2"):
             inner_split(d, 0.2, seeded())
 
     def test_row_without_intent_rejected(self):
@@ -154,21 +149,21 @@ class TestInjectOutliers:
 
     def test_insufficient_source(self):
         d = make_labeled({"a": 30, "b": 30})
-        with pytest.raises(InsufficientOutlierSourceError, match="60"):
+        with pytest.raises(DdceError, match="outlier source has 10 rows, need 1 x 60 = 60"):
             inject_outliers(d, outlier_source(n=10), 1.0, seeded())
 
     @pytest.mark.parametrize("ratio", [1e308, 1e300, 10.0 / 3])
     def test_ratio_beyond_source_rejected_before_rounding(self, ratio):
         # 1e308 * 60 overflows to inf; 10/3 * 60 is 200, one row more than the source.
         d = make_labeled({"a": 30, "b": 30})
-        with pytest.raises(InsufficientOutlierSourceError, match="199 rows"):
+        with pytest.raises(DdceError, match="outlier source has 199 rows"):
             inject_outliers(d, outlier_source(n=199), ratio, seeded())
 
     def test_half_row_rounds_up_against_source(self):
         # 0.5 x 5 = 2.5 rounds up to 3: enough with a 3-row source, one short with 2.
         d = make_labeled({"a": 5})
         assert inject_outliers(d, outlier_source(n=3), 0.5, seeded()).N == 8
-        with pytest.raises(InsufficientOutlierSourceError):
+        with pytest.raises(DdceError, match=r"outlier source has 2 rows, need 0.5 x 5 = 2.5"):
             inject_outliers(d, outlier_source(n=2), 0.5, seeded())
 
     def test_original_rows_untouched_and_flagged(self):

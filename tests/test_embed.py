@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,13 +15,7 @@ from ddce.embed import (
     save_embeddings,
     train_encoder,
 )
-from ddce.errors import (
-    AlignmentError,
-    DdceError,
-    EmbeddingFormatError,
-    EmbeddingTruncatedError,
-    EmbeddingValueError,
-)
+from ddce.errors import DdceError
 from ddce.util import fnv1a64
 
 from oracles import finite_difference_grads, ref_featurize
@@ -167,6 +163,21 @@ class TestTrainEncoder:
         assert len(history) == 12
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
+    def test_large_lr_loss_is_finite_without_warnings(self):
+        # At lr 100 true-class probabilities underflow to 0; log(0) must not be taken.
+        train, val = self._synthetic_split()
+        history: list[float] = []
+        cfg = TrainConfig(learning_rate=100.0, epochs=5, feature_dim=64, hidden_dim=16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            train_encoder(train, val, cfg, loss_history=history)
+        assert len(history) == 5 and np.all(np.isfinite(history))
+
+    def test_weight_matrix_size_bound(self):
+        TrainConfig(feature_dim=2**16, hidden_dim=2**16 - 1)
+        with pytest.raises(DdceError, match=r"feature_dim \* hidden_dim must be below 2\*\*32"):
+            TrainConfig(feature_dim=2**16, hidden_dim=2**16)
+
 
 class TestEncode:
     def test_identical_texts_identical_embeddings(self):
@@ -235,7 +246,7 @@ class TestEmb1Format:
         assert load_precomputed(path).data.tolist() == [[top, -top]]
         bad = str(tmp_path / "bad.emb1")
         for value in (float.fromhex("0x1.ffffffp+127"), -1e300):
-            with pytest.raises(EmbeddingValueError, match="overflow float32") as exc:
+            with pytest.raises(DdceError, match="overflow float32") as exc:
                 save_embeddings(one_row(0.0, value), bad)
             assert bad in str(exc.value)
             assert not (tmp_path / "bad.emb1").exists()
@@ -243,7 +254,7 @@ class TestEmb1Format:
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.emb1"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(EmbeddingFormatError):
+        with pytest.raises(DdceError, match="bad magic b'NOPE'"):
             load_precomputed(str(path))
 
     def test_truncated_payload(self, tmp_path):
@@ -256,7 +267,7 @@ class TestEmb1Format:
         blob = open(path, "rb").read()
         cut = tmp_path / "cut.emb1"
         cut.write_bytes(blob[:-5])
-        with pytest.raises(EmbeddingTruncatedError):
+        with pytest.raises(DdceError, match="payload has 43 bytes, need 48"):
             load_precomputed(str(cut))
 
     def test_truncated_id_table(self, tmp_path):
@@ -264,7 +275,7 @@ class TestEmb1Format:
 
         path = tmp_path / "ids.emb1"
         path.write_bytes(b"EMB1" + struct.pack("<II", 2, 4) + struct.pack("<H", 300))
-        with pytest.raises(EmbeddingTruncatedError):
+        with pytest.raises(DdceError, match="id table truncated"):
             load_precomputed(str(path))
 
     def test_payload_longer_than_header(self, tmp_path):
@@ -274,7 +285,7 @@ class TestEmb1Format:
             struct.pack("<H", 1) + c for c in (b"a", b"b", b"c"))
         path = tmp_path / "long.emb1"
         path.write_bytes(header + struct.pack("<9f", *range(9)))
-        with pytest.raises(EmbeddingFormatError) as exc:
+        with pytest.raises(DdceError, match="header promises") as exc:
             load_precomputed(str(path))
         assert str(exc.value) == f"{path}: payload has 36 bytes, header promises 24"
 
@@ -285,7 +296,7 @@ class TestEmb1Format:
         payload = struct.pack("<ff", 1.0, float("nan"))
         path = tmp_path / "nan.emb1"
         path.write_bytes(header + payload)
-        with pytest.raises(EmbeddingValueError):
+        with pytest.raises(DdceError, match="payload contains non-finite values"):
             load_precomputed(str(path))
 
     def test_rows_for_ids_subsets_in_order(self):
@@ -293,7 +304,7 @@ class TestEmb1Format:
         sub = m.rows_for_ids(["d", "b"])
         assert sub.row_ids == ["d", "b"]
         assert np.array_equal(sub.data, m.data[[3, 1]])
-        with pytest.raises(AlignmentError):
+        with pytest.raises(DdceError, match="ids missing from embeddings"):
             m.rows_for_ids(["a", "zz"])
 
     def test_normalize_rows_keeps_zero_rows(self):

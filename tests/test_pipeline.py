@@ -7,7 +7,7 @@ import scipy.stats
 from ddce import optics
 from ddce.corpus import UnlabeledDataset, Utterance, generate_synthetic, inject_outliers
 from ddce.embed import EmbeddingMatrix, TrainConfig
-from ddce.errors import ConfigError, DdceError
+from ddce.errors import DdceError
 from ddce.experiments import (
     KMEANS_RESTARTS,
     baseline_cluster_count,
@@ -389,7 +389,7 @@ class TestConfigSerialization:
         ({"search_space": {"xi_range": [0.1, 0.2, 0.3]}}, r"search_space.xi_range: expected array of 2"),
     ])
     def test_bad_values_rejected(self, obj, message):
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(DdceError, match=message):
             config_from_dict(obj)
 
     @pytest.mark.parametrize("obj, key", [
@@ -429,5 +429,5 @@ class TestArtifactSerialization:
         d_l, _, source = make_benchmark()
         obj = artifact_to_dict(train_base_models(d_l, source, fast_cfg(k_models=1))[0])
         del obj["encoder"]["W"]
-        with pytest.raises(ConfigError, match="encoder is missing 'W'"):
+        with pytest.raises(DdceError, match="encoder is missing 'W'"):
             artifact_from_dict(obj)

@@ -4,7 +4,7 @@ import pytest
 from ddce import metrics, optics
 from ddce.corpus import generate_synthetic, inject_outliers
 from ddce.embed import EmbeddingMatrix
-from ddce.errors import AlignmentError, DdceError, EmptySearchError
+from ddce.errors import DdceError
 from ddce.search import SearchSpace, random_search, sample_params, save_trial_log, trials_to_csv
 from ddce.util import substream
 
@@ -60,13 +60,13 @@ def synthetic_validation(seed: int, outlier_ratio: float = 0.2):
 class TestRandomSearch:
     def test_zero_trials_rejected(self):
         truth, e_hs = synthetic_validation(0)
-        with pytest.raises(EmptySearchError):
+        with pytest.raises(DdceError, match="n_trials must be >= 1, got 0"):
             random_search(e_hs, truth, SearchSpace(n_trials=0), 2, seed=0)
 
     def test_alignment_checked(self):
         truth, e_hs = synthetic_validation(0)
         shuffled = EmbeddingMatrix(data=e_hs.data, row_ids=list(reversed(e_hs.row_ids)))
-        with pytest.raises(AlignmentError):
+        with pytest.raises(DdceError, match="embedding rows are not aligned"):
             random_search(shuffled, truth, SearchSpace(n_trials=2), 2, seed=0)
 
     def test_alignment_checked_before_any_trial(self, monkeypatch):
@@ -77,7 +77,7 @@ class TestRandomSearch:
             raise AssertionError("a trial ran")
 
         monkeypatch.setattr(optics, "cluster_with_distances", no_trial)
-        with pytest.raises(AlignmentError):
+        with pytest.raises(DdceError, match="embedding rows are not aligned"):
             random_search(shuffled, truth, SearchSpace(n_trials=2), 2, seed=0)
 
     def test_trial_scores_equal_metrics_score(self):
