@@ -196,22 +196,32 @@ def train_encoder(
     best = (W.copy(), b.copy(), U.copy(), c.copy())
     best_acc = _accuracy(W, b, U, c, X_val, y_val)
     n = X_train.shape[0]
-    for _ in range(cfg.epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            batch = perm[start : start + cfg.batch_size]
-            _, (dW, db, dU, dc) = loss_and_grads(W, b, U, c, X_train[batch], y_train[batch])
-            W -= cfg.learning_rate * dW
-            b -= cfg.learning_rate * db
-            U -= cfg.learning_rate * dU
-            c -= cfg.learning_rate * dc
-        if loss_history is not None:
-            full_loss, _ = loss_and_grads(W, b, U, c, X_train, y_train)
-            loss_history.append(full_loss)
-        acc = _accuracy(W, b, U, c, X_val, y_val)
-        if acc > best_acc:
-            best_acc = acc
-            best = (W.copy(), b.copy(), U.copy(), c.copy())
+    # A learning rate too large for the data makes the weights overflow;
+    # that is a config error, not a run that ends with numpy warnings.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(cfg.epochs):
+                perm = rng.permutation(n)
+                for start in range(0, n, cfg.batch_size):
+                    batch = perm[start : start + cfg.batch_size]
+                    _, (dW, db, dU, dc) = loss_and_grads(
+                        W, b, U, c, X_train[batch], y_train[batch])
+                    W -= cfg.learning_rate * dW
+                    b -= cfg.learning_rate * db
+                    U -= cfg.learning_rate * dU
+                    c -= cfg.learning_rate * dc
+                if loss_history is not None:
+                    full_loss, _ = loss_and_grads(W, b, U, c, X_train, y_train)
+                    loss_history.append(full_loss)
+                acc = _accuracy(W, b, U, c, X_val, y_val)
+                if acc > best_acc:
+                    best_acc = acc
+                    best = (W.copy(), b.copy(), U.copy(), c.copy())
+    except FloatingPointError as exc:
+        raise DdceError(
+            f"encoder training diverged ({exc}); lower train_cfg.learning_rate,"
+            f" now {cfg.learning_rate}"
+        ) from exc
     W, b, U, c = best
     model = EncoderModel(
         W=W, b=b, U=U, c=c,

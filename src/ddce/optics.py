@@ -4,11 +4,14 @@ outlier rule.
 
 All tie-breaking is deterministic (smallest index wins) so ensemble runs
 are exactly reproducible. Neighbor search builds the ε-neighbourhood
-exactly: a blocked matrix product picks the candidate pairs, with a
-margin from the floating-point error bound, and only those are evaluated
-by the exact per-pair expression. Only the pairs within max_eps are kept,
-so memory scales with their number, not with n². The intended scale is
-thousands of points, not millions.
+exactly: a blocked float32 matrix product picks the candidate pairs, with
+a margin from the floating-point error bound, and only those are
+evaluated in float64 by the exact per-pair expression. Only the pairs
+within max_eps are kept, so memory scales with their number, not with n².
+The ordering loop visits only the points that can take part in a block:
+a point with no core distance and no core point within max_eps is placed
+by index, outside the loop. The intended scale is thousands of points,
+not millions.
 """
 
 from __future__ import annotations
@@ -105,19 +108,29 @@ class Neighbourhood:
         return (n, n)
 
 
-# A block of rows holds at most this many float64 approximations (1 MB).
-_BLOCK_ELEMENTS = 2**17
+# A block of rows holds at most this many float32 approximations (1 MB).
+_BLOCK_ELEMENTS = 2**18
 # A chunk of candidate pairs gathers at most this many float64 values
 # (256 kB), so that the gather, product and sum stay in cache.
 _GATHER_ELEMENTS = 2**15
-_U = np.finfo(float).eps / 2  # unit roundoff
-_TINY = np.finfo(float).smallest_subnormal
+_U = 2.0**-53  # float64 unit roundoff
+_U32 = 2.0**-24  # float32 unit roundoff
+_ETA32 = 2.0**-150  # half the smallest float32 subnormal
 
 
-def _gamma(m: int) -> float:
-    """Higham's γ_m = m·u / (1 - m·u), the relative error bound of an
-    m-term floating-point sum."""
-    return m * _U / (1.0 - m * _U)
+def _gamma32(m: int) -> float:
+    """Higham's γ_m = m·u / (1 - m·u) for float32's u, the relative error
+    bound of an m-term float32 sum; inf once m·u reaches 1."""
+    mu = m * _U32
+    return mu / (1.0 - mu) if mu < 1.0 else np.inf
+
+
+def _float32_beyond(v: float, toward: float) -> np.float32:
+    """A float32 strictly past ``v`` in the direction of ``toward`` (±inf):
+    the nearest float32 is within half a step of v, so one more step
+    clears it."""
+    with np.errstate(over="ignore"):
+        return np.nextafter(np.float32(v), np.float32(toward))
 
 
 def _exact_distances(x: np.ndarray, i: np.ndarray, j: np.ndarray, cosine: bool) -> np.ndarray:
@@ -137,21 +150,23 @@ def _exact_distances(x: np.ndarray, i: np.ndarray, j: np.ndarray, cosine: bool) 
 
 
 def _pairs_within(
-    x: np.ndarray, a: int, b: int, radius: float, sq: np.ndarray, bound: float, cosine: bool
+    x: np.ndarray, x32: np.ndarray, a: int, b: int, radius: float, sq32: np.ndarray | None,
+    bound: np.float32, cosine: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows [a, b) of the structure: each row's length, then the columns
     (as int32) and distances of the rows one after another, each row in
     (distance, index) order. The candidates are each row's own column and
-    the pairs whose approximation is not above ``bound``: see
-    :func:`pairwise_distances`."""
-    approx = x[a:b] @ x.T
+    the pairs whose float32 approximation is at least ``bound`` for cosine
+    and not above it for euclidean: see :func:`pairwise_distances`."""
+    approx = x32[a:b] @ x32.T
     if cosine:
-        np.subtract(1.0, approx, out=approx)
+        near = approx >= bound
     else:
         approx *= -2.0
-        approx += sq[a:b, None]
-        approx += sq
-    near = ~(approx > bound)
+        approx += sq32[a:b, None]
+        approx += sq32
+        near = ~(approx > bound)
+    del approx  # freed before the candidates are evaluated, to lower the peak
     np.fill_diagonal(near[:, a:], True)
     r, j = np.divmod(np.flatnonzero(near), len(x))
     i = r + a
@@ -170,63 +185,96 @@ def pairwise_distances(x: np.ndarray, metric: str, radius: float = np.inf) -> Ne
     L2-normalized rows (clamped at 0, self-distance 0); euclidean is the
     usual norm.
 
-    Rows are built whole, in blocks of ``2**17 // n`` rows, so that one
-    block's values take 1 MB. For each block [a, b) one matrix product
-    approximates every column: ``1 - xn[a:b] @ xn.T`` for cosine, and
-    |x|² + |y|² - 2 x·y, the squared distance, for euclidean. Only the
-    pairs that the approximation cannot rule out are evaluated with the
+    The rows are cast to float32 once: the L2-normalized rows for cosine,
+    and for euclidean the rows scaled by 2^-e, e the binary exponent of
+    max|x|. That scaling is exact (short of float64 underflow), keeps
+    every |x_k| < 1, so float32 cannot overflow, and scales every
+    distance by 2^-e. Rows are built whole, in blocks of ``2**18 // n``
+    rows, so that one block's float32 values take 1 MB. For each block
+    [a, b) one float32 matrix product approximates every column: the dot
+    product for cosine, and |x|² + |y|² - 2 x·y, the scaled squared
+    distance, for euclidean. Only the pairs that the approximation cannot
+    rule out are evaluated, in float64 on the unscaled rows, with the
     exact per-row expression. Each pair is thus evaluated from both of
     its rows, and both give the same bytes: products commute and
     x - y = -(y - x) exactly, so every term, and the sum taken in the
     same order, is equal. Memory scales with the number of pairs within
     ``radius``, not n².
 
-    The filter never drops a pair the exact expression keeps. With u the
-    unit roundoff and γ_m = m·u / (1 - m·u), a length-d dot product
-    summed in any order, BLAS included, is within γ_d·Σ|x_k y_k| <=
-    γ_d·|x|·|y| of the exact one (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 2002, §3.1). Rounding to nearest is monotone,
-    so a computed value below a real bound stays below any float above it.
+    The filter never drops a pair the exact expression keeps. Let
+    u = 2^-53 and u32 = 2^-24 be the float64 and float32 unit roundoffs,
+    γ_m = m·u32 / (1 - m·u32), and η = 2^-150, half the smallest float32
+    subnormal. Under gradual underflow the float32 error has three terms:
+    input rounding, |fl32(v) - v| <= u32·|v| + η per element; the product,
+    where a length-d dot summed in any order, BLAS and fused
+    multiply-adds included, is within γ_d·Σ|a_k b_k| of the exact one
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+    §3.1); and subnormals, η more per product that underflows. The float64
+    exact expression errs by d·u relative, far below one more u32, plus
+    2^-1075 per product. Rounding to nearest is monotone, so a computed
+    value below a real bound stays below any float above it.
 
-    - Cosine, radius r: the exact expression's dot s and the product's s'
-      are each within γ_d·M of the exact dot, M the largest squared norm
-      of a row of xn. A kept pair has fl(1 - s) <= r, so
-      1 - s <= r(1 + u) and 1 - s' <= r(1 + u) + 2γ_d·M. The candidates
-      are the pairs with fl(1 - s') <= r + τ, τ = 2γ_{d+2}·M + 4u·r. The
-      slack of γ_{d+2} over γ_d and of 4u over u covers rounding in M and
-      in r + τ.
-    - Euclidean: with S = |x|² + |y|² and D² <= 2S the exact squared
-      distance, each squared difference is within γ_3 of exact, so the
-      exact expression's sum q is within γ_{d+2}·D² <= 2γ_{d+2}·S of D²,
-      and a kept pair has q <= r²(1 + 3u). The approximation lowers each
-      squared norm by the factor 1 - 8γ_{d+2}; computed, it is within
-      (2γ_d + 7u)·S of D² - 8γ_{d+2}·S, hence at most q. The candidates
-      are the pairs whose approximation is at most r²(1 + 8u) plus
-      8(d + 2) smallest subnormals, for products that underflow.
+    - Cosine, radius r, M the largest squared norm of a row of xn, every
+      |xn_k| < 1.25 (a square that reaches the subnormals rounds to at
+      least 2/3 of itself, or to 0 below half the norm's). A kept pair has
+      fl(1 - s) <= r, so the exact dot s* >= 1 - r(1 + u) - d·u·M - d·2^-1075.
+      The cast rows' exact dot is within (2u32 + u32²)·M + 2.5d·η of s*,
+      and their float32 product s' within γ_d(1 + u32)²·M + d·η more, so
+      s' >= 1 - r(1 + u) - γ_{d+3}·M - 5d·η. The candidates are the pairs
+      with s' >= t, t the float32 strictly below
+      1 - r(1 + 8u) - γ_{d+4}·M - 8(d + 1)·η: the spare u's, γ index and
+      η's cover the float64 rounding of t and of M.
+    - Euclidean, rows scaled by 2^-e: D the scaled distance of a pair, S
+      its two squared norms summed, and r the scaled radius. The exact
+      sum q is within relative (d + 2)·u of the unscaled D², less 2^-1075
+      per square that underflows, so a kept pair, fl(√q) <= r, has
+      D² <= r²(1 + u32) + d·2^(-1074 - 2e). The cast rows b have
+      |b_i - b_j|² <= D² + 4.01·u32·S + 9d·η. The approximation takes the
+      squared norms of b in float64, where products of float32 values are
+      exact, lowered by the factor 1 - c, c = γ_{d+14}. Its float32
+      product, the norms' rounding and its two additions add at most
+      γ_{d+8}·S_b + 3d·η to |b_i - b_j|², S_b the squared norms of b, and
+      the lowering takes c·S_b off. As S_b >= (1 - u32)²·S - 4d·η, the
+      approximation is at most D² + 13d·η. The candidates are the pairs
+      whose approximation is at most the float32 strictly above
+      r²(1 + 2u32) + 2d·2^(-1074 - 2e) + 16(d + 1)·η; NaN counts as one.
 
-    A NaN approximation (overflow) counts as a candidate, and at radius
-    infinity the bound is infinite, so every pair is one. A looser bound
-    only costs time; a tighter one could drop pairs at the radius.
+    At radius infinity every pair is a candidate, and so it is when γ is
+    infinite, at d >= 2^24 - 14. A looser bound only costs time; a
+    tighter one could drop pairs at the radius.
     """
     if metric not in METRICS:
         raise DdceError(f"unknown metric {metric!r}, expected one of {METRICS}")
     x = np.asarray(x, dtype=float)
     n, dim = x.shape
     cosine = metric == "cosine"
+    # The bound's float64 arithmetic may overflow to inf, which only
+    # widens the filter.
     if cosine:
         x = normalize_rows(x)
-    sq = (x * x).sum(axis=1)
-    if cosine:
-        bound = radius + 2 * _gamma(dim + 2) * sq.max(initial=0.0) + 4 * _U * radius
+        x32 = x.astype(np.float32)
+        sq32 = None
+        largest = (x * x).sum(axis=1).max(initial=0.0)
+        with np.errstate(over="ignore"):
+            gap = radius * (1 + 8 * _U) + 8 * (dim + 1) * _ETA32
+        if largest > 0:  # all-zero rows have an exact dot of 0
+            gap += _gamma32(dim + 4) * largest
+        bound = _float32_beyond(1.0 - gap, -np.inf)
     else:
-        sq *= 1.0 - 8 * _gamma(dim + 2)
-        bound = radius * radius * (1 + 8 * _U) + 8 * (dim + 2) * _TINY
+        e = int(np.frexp(np.abs(x).max(initial=0.0))[1])
+        x32 = np.ldexp(x, -e).astype(np.float32)
+        sq = np.square(x32, dtype=float).sum(axis=1) * (1.0 - _gamma32(dim + 14))
+        sq32 = sq.astype(np.float32)
+        with np.errstate(over="ignore"):
+            scaled = np.ldexp(radius, -e)
+            limit = scaled * scaled * (1 + 2 * _U32) + np.ldexp(2.0 * dim, -1074 - 2 * e)
+        bound = _float32_beyond(limit + 16 * (dim + 1) * _ETA32, np.inf)
     block = max(1, _BLOCK_ELEMENTS // max(n, 1))
     # The columns stay int32, half the bytes of intp, until the final
     # concatenation: an O(n²) build never sees 2**31 rows. When n is 0 the
     # one empty block gives each concatenation a part.
     counts, cols, dists = zip(*(
-        _pairs_within(x, a, min(a + block, n), radius, sq, bound, cosine)
+        _pairs_within(x, x32, a, min(a + block, n), radius, sq32, bound, cosine)
         for a in range(0, max(n, 1), block)
     ))
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
@@ -242,7 +290,16 @@ def compute_ordering(
     """Standard OPTICS on the neighbourhood structure: expand from each
     unprocessed point (index order), repeatedly processing the unreached
     point with the smallest tentative reachability, ties broken by
-    smallest index. ``nbrs.radius`` must be at least ``params.max_eps``."""
+    smallest index. ``nbrs.radius`` must be at least ``params.max_eps``,
+    and the structure must be symmetric, as :func:`pairwise_distances`
+    builds it: j in row i exactly when i is in row j, with the same
+    distance bytes.
+
+    A *lone* point has no core distance and lies in no core point's
+    max_eps prefix. Nothing reaches it and it relaxes nothing, so it forms
+    a block of its own wherever the scan of starts meets it. The loop runs
+    over the other starts only, and one stable sort by each block's start
+    puts the lone points back in place."""
     if params.max_eps > nbrs.radius:
         raise DdceError(f"max_eps {params.max_eps} exceeds the neighbourhood radius {nbrs.radius}")
     n = nbrs.shape[0]
@@ -260,7 +317,19 @@ def compute_ordering(
     core = np.full(n, np.inf)
     core[has_core] = distances[starts[has_core] + k - 1]
 
-    reach = np.empty(n)
+    # By symmetry, a core point has p in its prefix exactly when p's own
+    # prefix holds a core point, so only the coreless prefixes, each
+    # shorter than min_samples, are read.
+    coreless = np.flatnonzero(~has_core)
+    lengths = (ends - starts)[coreless]
+    owner = np.repeat(coreless, lengths)
+    first = np.cumsum(lengths) - lengths  # each prefix's first position in owner
+    entry = np.arange(len(owner)) + np.repeat(starts[coreless] - first, lengths)
+    reached = owner[has_core[indices[entry]]]
+    lone = ~has_core
+    lone[reached] = False
+
+    reach = np.full(n, np.inf)
     pred = np.full(n, -1, dtype=int)
     inf = np.inf
     core_list = core.tolist()
@@ -274,9 +343,12 @@ def compute_ordering(
     open_reach = np.full(n, inf)
     best = np.full(n, inf)
     order = []
-    for start in range(n):
+    block_starts = []
+    block_sizes = []
+    for start in np.flatnonzero(~lone).tolist():
         if best[start] == -inf:
             continue
+        size = len(order)
         current = start
         while True:
             reach[current] = best[current]
@@ -298,8 +370,13 @@ def compute_ordering(
             if open_reach[current] == inf:
                 break
             open_reach[current] = inf
+        block_starts.append(start)
+        block_sizes.append(len(order) - size)
+    lone_points = np.flatnonzero(lone)
+    keys = np.concatenate([np.repeat(np.array(block_starts, dtype=int), block_sizes), lone_points])
+    merged = np.concatenate([np.array(order, dtype=int), lone_points])
     return ReachabilityOrdering(
-        order=np.array(order, dtype=int), reachability=reach, core_distance=core,
+        order=merged[np.argsort(keys, kind="stable")], reachability=reach, core_distance=core,
         predecessor=pred, ids=list(ids),
     )
 

@@ -103,7 +103,9 @@ def read_jsonl(path: str) -> list[tuple[int, object]]:
 
 def write_jsonl(path: str, objs) -> None:
     """Write one JSON value per line, UTF-8 with LF endings, atomically."""
-    atomic_write_text(path, "".join(json.dumps(o, ensure_ascii=False) + "\n" for o in objs))
+    # One encoder for the file: json.dumps with a keyword builds one per call.
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    atomic_write_text(path, "".join(encode(o) + "\n" for o in objs))
 
 
 def csv_text(header: list[str], rows) -> str:

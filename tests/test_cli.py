@@ -272,6 +272,17 @@ class TestMalformedInputs:
                    "--config", bad, "--out", str(tmp_path / "x"))
         self._assert_one_error(code, capsys)
 
+    def test_diverging_encoder(self, workspace, tmp_path, capsys):
+        """A learning rate that overflows the weights is a config error."""
+        config = str(tmp_path / "lr.json")
+        with open(config, "w") as fh:
+            json.dump({"train_cfg": {"learning_rate": 1e308}}, fh)
+        code = run("ensemble", "--labeled", workspace["labeled"],
+                   "--unlabeled", workspace["unlabeled"],
+                   "--outlier-source", workspace["source"],
+                   "--config", config, "--out", str(tmp_path / "x"))
+        assert "train_cfg.learning_rate" in self._assert_one_error(code, capsys)
+
     def test_jsonl_line_not_an_object(self, workspace, tmp_path, capsys):
         truth = str(tmp_path / "truth.jsonl")
         with open(truth, "w") as fh:

@@ -173,6 +173,15 @@ class TestTrainEncoder:
             train_encoder(train, val, cfg, loss_history=history)
         assert len(history) == 5 and np.all(np.isfinite(history))
 
+    def test_diverging_training_raises_one_error_without_warnings(self):
+        # At lr 1e308 the first step overflows the weights.
+        train, val = self._synthetic_split()
+        cfg = TrainConfig(learning_rate=1e308, epochs=2, feature_dim=64, hidden_dim=16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DdceError, match=r"diverged .*train_cfg\.learning_rate, now 1e\+308"):
+                train_encoder(train, val, cfg)
+
     def test_weight_matrix_size_bound(self):
         TrainConfig(feature_dim=2**16, hidden_dim=2**16 - 1)
         with pytest.raises(DdceError, match=r"feature_dim \* hidden_dim must be below 2\*\*32"):

@@ -106,6 +106,12 @@ def assert_rows_match_dense(data, metric, radius):
         pairs = list(zip(d.tolist(), j.tolist()))
         assert pairs == sorted(pairs)
         assert d[j == i].tolist() == [0.0]
+    # Symmetric: j in row i exactly when i is in row j, with the same bytes.
+    rows = np.repeat(np.arange(n), np.diff(nbrs.indptr))
+    fwd, back = np.lexsort((nbrs.indices, rows)), np.lexsort((rows, nbrs.indices))
+    assert np.array_equal(rows[fwd], nbrs.indices[back])
+    assert np.array_equal(nbrs.indices[fwd], rows[back])
+    assert nbrs.distances[fwd].tobytes() == nbrs.distances[back].tobytes()
 
 
 def boundary_case(seed):
@@ -126,6 +132,29 @@ def boundary_case(seed):
         data[some] = np.nextafter(data[0], np.inf)
     elif kind == 4:
         data[some] = 0.0
+    return data
+
+
+def extreme_case(seed):
+    """Rows at the edges of float32, which the candidate filter computes in:
+    scales from 1e-300 to 1e300, subnormal coordinates and values near
+    float32's maximum, as EMB1 can hold."""
+    rng = np.random.default_rng(900 + seed)
+    n = int(rng.integers(2, 31))
+    d = int(rng.choice([1, 2, 5, 16, 64]))
+    kind = seed % 4
+    if kind == 0:
+        scale = [1e-300, 1e-160, 1e-30, 1e30, 1e150, 1e300][seed // 4 % 6]
+        data = rng.normal(size=(n, d)) * scale
+    elif kind == 1:  # some coordinates, or whole rows, subnormal
+        data = rng.normal(size=(n, d))
+        data[rng.random(size=(n, d)) < 0.3] *= 1e-310
+        data[rng.integers(0, n, size=n // 3)] *= 1e-310
+    elif kind == 2:
+        data = rng.choice([-1.0, 1.0], size=(n, d)) * rng.uniform(0.5, 1.0, size=(n, d))
+        data = data.astype(np.float32).astype(float) * float(np.finfo(np.float32).max)
+    else:  # near float32's maximum, in a few distinct values: tied distances
+        data = rng.choice([-1.0, 0.99, 1.0], size=(n, d)) * float(np.finfo(np.float32).max)
     return data
 
 
@@ -151,6 +180,19 @@ class TestNeighbourhood:
         picked = np.random.default_rng(seed).choice(pair, size=4).tolist()
         for radius in [0.0, np.inf, pair.min(), pair.max(), *picked]:
             assert_rows_match_dense(data, metric, radius)
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_extreme_scale_battery_matches_dense_rows(self, metric, seed):
+        data = extreme_case(seed)
+        # At 1e300 the squared differences, and the squared norms that
+        # normalize the rows, overflow: those distances are inf, and sums
+        # of infinities are NaN.
+        with np.errstate(over="ignore", invalid="ignore"):
+            pair = dense_distances(data, metric)[np.triu_indices(len(data), 1)]
+            picked = np.random.default_rng(seed).choice(pair, size=4).tolist()
+            for radius in [0.0, np.inf, pair.min(), pair.max(), *picked]:
+                assert_rows_match_dense(data, metric, radius)
 
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
     def test_long_runs_of_equal_distances_stay_in_index_order(self, metric):
@@ -300,6 +342,23 @@ class TestOrderingFromDistances:
             min_samples=int(rng.integers(2, 25)),
         )
         assert_matches_reference(data, params, metric)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_sparse_core_battery(self, seed):
+        # max_eps below most pair distances, at a quantile of the core
+        # distances under 1/2: most points have none, and in every case some
+        # of those are reached inside a block.
+        rng = np.random.default_rng(7000 + seed)
+        n = int(rng.integers(30, 71))
+        data = rng.normal(size=(n, int(rng.integers(2, 5))))
+        metric = ("euclidean", "cosine")[seed % 2]
+        k = int(rng.integers(3, 7))  # at 2, every point without a core distance is alone
+        kth = np.sort(dense_distances(data, metric), axis=1)[:, k - 1]
+        max_eps = float(np.quantile(kth, rng.uniform(0.2, 0.45)))
+        got = assert_matches_reference(data, OpticsParams(max_eps, 0.05, k), metric)
+        coreless = np.isinf(got.core_distance)
+        assert coreless.mean() > 0.5
+        assert np.isfinite(got.reachability[coreless]).any()
 
     @pytest.mark.parametrize("params", [
         OpticsParams(max_eps=10.0, xi=0.05, min_samples=9),  # more than n
