@@ -54,9 +54,21 @@ class EmbeddingMatrix:
 
 
 def normalize_rows(x: np.ndarray) -> np.ndarray:
-    """L2-normalize each row of a 2-D array; all-zero rows stay zeros."""
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    return x / np.where(norms == 0.0, 1.0, norms)
+    """L2-normalize each row of a 2-D array; all-zero rows stay zeros.
+
+    Each row is first scaled by 2^-e, e the binary exponent of its largest
+    |entry|. That is exact short of underflow and puts the largest square
+    in [1/4, 1), so the norm neither overflows nor underflows at any scale,
+    and a row times a power of two gives the same bytes as the row."""
+    e = np.frexp(np.abs(x).max(axis=1, keepdims=True, initial=0.0))[1]
+    # The squares, then the result, reuse one buffer: with ``x`` at most two
+    # arrays of its size are alive, as in np.linalg.norm's x * x.
+    out = np.ldexp(x, -e)
+    out *= out
+    norms = np.sqrt(out.sum(axis=1, keepdims=True))
+    np.ldexp(x, -e, out=out)
+    out /= np.where(norms == 0.0, 1.0, norms)
+    return out
 
 
 def featurize(texts: list[str], feature_dim: int, ids: list[str] | None = None) -> EmbeddingMatrix:
@@ -143,10 +155,9 @@ def loss_and_grads(
     logits -= logits.max(axis=1, keepdims=True)
     exp = np.exp(logits)
     sums = exp.sum(axis=1, keepdims=True)
-    probs = exp / sums
     # log-sum-exp form: each row sum is >= 1, so no log(0) when a probability underflows
     loss = float((np.log(sums[:, 0]) - logits[np.arange(n), y]).mean())
-    dlogits = probs.copy()
+    dlogits = exp / sums  # the softmax probabilities, less 1 at each true class
     dlogits[np.arange(n), y] -= 1.0
     dlogits /= n
     dU = Z.T @ dlogits

@@ -13,7 +13,7 @@ from . import metrics, optics
 from .corpus import LabeledDataset, UnlabeledDataset, append_outliers
 from .embed import EmbeddingMatrix, encode
 from .errors import DdceError
-from .pipeline import PipelineConfig, fit_encoder, run_ddce
+from .pipeline import PipelineConfig, fit_encoder, run_ddce, split_and_train
 from .util import csv_text, derive_seed, substream
 
 KMEANS_RESTARTS = 10  # seeded k-means runs per baseline; the lowest inertia wins
@@ -88,15 +88,20 @@ def kmeans_baseline(
     return optics.filter_small_clusters(part, 2)
 
 
-def _run_scores(
-    d_l: LabeledDataset, d_ul: UnlabeledDataset, source: UnlabeledDataset, cfg: PipelineConfig
-) -> tuple[float, float]:
-    """One sweep run: the consensus test score and the mean base-model test
-    score. The unlabeled set must carry ground truth; that is checked
-    before the pipeline runs."""
-    if not metrics.has_ground_truth(d_ul):
+def _require_ground_truth(*datasets: UnlabeledDataset) -> None:
+    if not all(metrics.has_ground_truth(d) for d in datasets):
         raise DdceError("sweeps need ground truth on the unlabeled set")
-    report = run_ddce(d_l, d_ul, source, cfg)
+
+
+def _run_scores(
+    d_l: LabeledDataset, d_ul: UnlabeledDataset, source: UnlabeledDataset, cfg: PipelineConfig,
+    stage_one=None,
+) -> tuple[float, float]:
+    """One sweep run, reusing ``stage_one`` (see ``run_ddce``): the consensus
+    test score and the mean base-model test score. The unlabeled set must
+    carry ground truth; that is checked before the pipeline runs."""
+    _require_ground_truth(d_ul)
+    report = run_ddce(d_l, d_ul, source, cfg, stage_one=stage_one)
     base_mean = float(np.mean([s.score for s in report.base_test_scores]))
     return report.consensus_test_scores.score, base_mean
 
@@ -139,14 +144,16 @@ def sweep_outlier_ratio(
     voting, and record its score next to the mean base-model score.
 
     The injected sets are nested (one seeded shuffle of the source,
-    prefix-sliced per ratio) so that differences across ratios reflect the
-    added outlier mass, not a fresh draw."""
+    prefix-sliced per ratio), so ratios differ only in added outlier mass.
+    Base-model stage one does not read the ratio and runs once for all."""
     perm = substream(cfg.master_seed, "test-inject").permutation(outlier_source.M)
+    tests = [append_outliers(d_ul_clean, outlier_source, r, lambda n: perm[:n]) for r in ratios]
+    _require_ground_truth(*tests)
+    stage_one = list(split_and_train(d_l, cfg)) if tests else []
     rows = []
-    for ratio in ratios:
-        d_test = append_outliers(d_ul_clean, outlier_source, ratio, lambda n: perm[:n])
+    for ratio, d_test in zip(ratios, tests):
         cfg_r = replace(cfg, consensus_fn="BOKV", outlier_ratio=ratio)
-        rows.append((ratio, *_run_scores(d_l, d_test, outlier_source, cfg_r)))
+        rows.append((ratio, *_run_scores(d_l, d_test, outlier_source, cfg_r, stage_one)))
     return rows, csv_text(["ratio", "bokv_score", "base_mean_score"], rows)
 
 
@@ -168,10 +175,8 @@ def wilcoxon_signed_rank(diffs: list[float]) -> float:
         total = int(dranks.sum())
         counts = np.zeros(total + 1)
         counts[0] = 1.0
-        for r in dranks:
-            shifted = np.zeros_like(counts)
-            shifted[r:] = counts[:-r] if r > 0 else counts
-            counts = counts + shifted
+        for r in dranks:  # every doubled rank is at least 2
+            counts[r:] = counts[r:] + counts[:-r]
         w2 = int(round(2.0 * w_plus))
         denom = counts.sum()
         p_low = counts[: w2 + 1].sum() / denom

@@ -133,9 +133,13 @@ def _float32_beyond(v: float, toward: float) -> np.float32:
         return np.nextafter(np.float32(v), np.float32(toward))
 
 
-def _exact_distances(x: np.ndarray, i: np.ndarray, j: np.ndarray, cosine: bool) -> np.ndarray:
-    """d(i[p], j[p]) for each pair p, by the per-row expression. A row's
-    reduction does not depend on the other rows in the array, so each
+def _exact_distances(
+    x: np.ndarray, i: np.ndarray, j: np.ndarray, cosine: bool, e: int
+) -> np.ndarray:
+    """d(i[p], j[p]) for each pair p, by the per-row expression on the rows
+    :func:`pairwise_distances` prepares: normalized for cosine, and for
+    euclidean scaled by 2^-e, each distance then scaled back by 2^e. A
+    row's reduction does not depend on the other rows in the array, so each
     value is bitwise what a full row of the distance matrix holds."""
     out = np.empty(len(i))
     step = max(1, _GATHER_ELEMENTS // max(x.shape[1], 1))
@@ -145,13 +149,14 @@ def _exact_distances(x: np.ndarray, i: np.ndarray, j: np.ndarray, cosine: bool) 
         if cosine:
             out[s:s + step] = np.maximum(0.0, 1.0 - (xj * xi).sum(axis=1))
         else:
-            out[s:s + step] = np.sqrt(((xj - xi) ** 2).sum(axis=1))
+            with np.errstate(over="ignore"):  # a distance beyond float64's range is inf
+                out[s:s + step] = np.ldexp(np.sqrt(((xj - xi) ** 2).sum(axis=1)), e)
     return out
 
 
 def _pairs_within(
     x: np.ndarray, x32: np.ndarray, a: int, b: int, radius: float, sq32: np.ndarray | None,
-    bound: np.float32, cosine: bool,
+    bound: np.float32, cosine: bool, e: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows [a, b) of the structure: each row's length, then the columns
     (as int32) and distances of the rows one after another, each row in
@@ -170,7 +175,7 @@ def _pairs_within(
     np.fill_diagonal(near[:, a:], True)
     r, j = np.divmod(np.flatnonzero(near), len(x))
     i = r + a
-    dist = _exact_distances(x, i, j, cosine)
+    dist = _exact_distances(x, i, j, cosine, e)
     dist[i == j] = 0.0
     kept = dist <= radius
     r, j, dist = r[kept], j[kept], dist[kept]
@@ -185,21 +190,22 @@ def pairwise_distances(x: np.ndarray, metric: str, radius: float = np.inf) -> Ne
     L2-normalized rows (clamped at 0, self-distance 0); euclidean is the
     usual norm.
 
-    The rows are cast to float32 once: the L2-normalized rows for cosine,
-    and for euclidean the rows scaled by 2^-e, e the binary exponent of
-    max|x|. That scaling is exact (short of float64 underflow), keeps
-    every |x_k| < 1, so float32 cannot overflow, and scales every
-    distance by 2^-e. Rows are built whole, in blocks of ``2**18 // n``
-    rows, so that one block's float32 values take 1 MB. For each block
-    [a, b) one float32 matrix product approximates every column: the dot
-    product for cosine, and |x|² + |y|² - 2 x·y, the scaled squared
-    distance, for euclidean. Only the pairs that the approximation cannot
-    rule out are evaluated, in float64 on the unscaled rows, with the
-    exact per-row expression. Each pair is thus evaluated from both of
-    its rows, and both give the same bytes: products commute and
-    x - y = -(y - x) exactly, so every term, and the sum taken in the
-    same order, is equal. Memory scales with the number of pairs within
-    ``radius``, not n².
+    The distances are taken on the L2-normalized rows for cosine, and for
+    euclidean on the rows scaled by 2^-e, e the binary exponent of
+    max|x|, each distance then scaled back by 2^e. That scaling is exact
+    (short of float64 underflow) and keeps every |x_k| < 1, so no square
+    overflows and float32 cannot, and the distances of x·2^k are those of
+    x times 2^k, bit for bit. The rows so prepared are cast to float32
+    once. Rows are built whole, in blocks of ``2**18 // n`` rows, so that
+    one block's float32 values take 1 MB. For each block [a, b) one
+    float32 matrix product approximates every column: the dot product for
+    cosine, and |x|² + |y|² - 2 x·y, the scaled squared distance, for
+    euclidean. Only the pairs that the approximation cannot rule out are
+    evaluated, in float64, with the exact per-row expression. Each pair is
+    thus evaluated from both of its rows, and both give the same bytes:
+    products commute and x - y = -(y - x) exactly, so every term, and the
+    sum taken in the same order, is equal. Memory scales with the number
+    of pairs within ``radius``, not n².
 
     The filter never drops a pair the exact expression keeps. Let
     u = 2^-53 and u32 = 2^-24 be the float64 and float32 unit roundoffs,
@@ -224,11 +230,13 @@ def pairwise_distances(x: np.ndarray, metric: str, radius: float = np.inf) -> Ne
       with s' >= t, t the float32 strictly below
       1 - r(1 + 8u) - γ_{d+4}·M - 8(d + 1)·η: the spare u's, γ index and
       η's cover the float64 rounding of t and of M.
-    - Euclidean, rows scaled by 2^-e: D the scaled distance of a pair, S
-      its two squared norms summed, and r the scaled radius. The exact
-      sum q is within relative (d + 2)·u of the unscaled D², less 2^-1075
-      per square that underflows, so a kept pair, fl(√q) <= r, has
-      D² <= r²(1 + u32) + d·2^(-1074 - 2e). The cast rows b have
+    - Euclidean, rows scaled by 2^-e: D the distance of a pair of scaled
+      rows, S its two squared norms summed, and r the scaled radius. The
+      computed sum q is within relative (d + 2)·u of D², less 2^-1075 per
+      square that underflows. A kept pair has fl(√q)·2^e <= radius, where
+      the product rounds only below 2^-1022, and only when e < 0; so
+      D² <= r²(1 + u32) + d·2^-1075 + 2^(-2043 - 2e), and the last term is
+      at most d·2^(-1074 - 2e). The cast rows b have
       |b_i - b_j|² <= D² + 4.01·u32·S + 9d·η. The approximation takes the
       squared norms of b in float64, where products of float32 values are
       exact, lowered by the factor 1 - c, c = γ_{d+14}. Its float32
@@ -237,7 +245,8 @@ def pairwise_distances(x: np.ndarray, metric: str, radius: float = np.inf) -> Ne
       the lowering takes c·S_b off. As S_b >= (1 - u32)²·S - 4d·η, the
       approximation is at most D² + 13d·η. The candidates are the pairs
       whose approximation is at most the float32 strictly above
-      r²(1 + 2u32) + 2d·2^(-1074 - 2e) + 16(d + 1)·η; NaN counts as one.
+      r²(1 + 2u32) + 2d·2^(-1074 - 2e) + 16(d + 1)·η, whose η terms also
+      cover d·2^-1075; NaN counts as one.
 
     At radius infinity every pair is a candidate, and so it is when γ is
     infinite, at d >= 2^24 - 14. A looser bound only costs time; a
@@ -251,6 +260,7 @@ def pairwise_distances(x: np.ndarray, metric: str, radius: float = np.inf) -> Ne
     # The bound's float64 arithmetic may overflow to inf, which only
     # widens the filter.
     if cosine:
+        e = 0  # unused: normalized rows need no scaling
         x = normalize_rows(x)
         x32 = x.astype(np.float32)
         sq32 = None
@@ -262,7 +272,8 @@ def pairwise_distances(x: np.ndarray, metric: str, radius: float = np.inf) -> Ne
         bound = _float32_beyond(1.0 - gap, -np.inf)
     else:
         e = int(np.frexp(np.abs(x).max(initial=0.0))[1])
-        x32 = np.ldexp(x, -e).astype(np.float32)
+        x = np.ldexp(x, -e)
+        x32 = x.astype(np.float32)
         sq = np.square(x32, dtype=float).sum(axis=1) * (1.0 - _gamma32(dim + 14))
         sq32 = sq.astype(np.float32)
         with np.errstate(over="ignore"):
@@ -274,7 +285,7 @@ def pairwise_distances(x: np.ndarray, metric: str, radius: float = np.inf) -> Ne
     # concatenation: an O(n²) build never sees 2**31 rows. When n is 0 the
     # one empty block gives each concatenation a part.
     counts, cols, dists = zip(*(
-        _pairs_within(x, x32, a, min(a + block, n), radius, sq32, bound, cosine)
+        _pairs_within(x, x32, a, min(a + block, n), radius, sq32, bound, cosine, e)
         for a in range(0, max(n, 1), block)
     ))
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])

@@ -1,14 +1,13 @@
 """End-to-end orchestration: train K base clustering models on
-intent-disjoint splits, cluster the unlabeled set with each, combine via a
-consensus function; plus the JSON codec of the config, the trained base
-models and the run report."""
+intent-disjoint splits, in two stages, cluster the unlabeled set with each,
+combine via a consensus function; plus the JSON codec, which reads configs
+only and writes configs, the trained base models and the run report."""
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
-from types import UnionType
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -83,33 +82,47 @@ def fit_encoder(d: LabeledDataset, train_cfg: TrainConfig, split_rng, seed: int)
     return train_encoder(train, val, replace(train_cfg, seed=seed))
 
 
+def split_and_train(d_l: LabeledDataset, cfg: PipelineConfig, with_encoder: bool = True):
+    """Stage one of the base models, yielded model by model: the intent split,
+    and the encoder fitted on its labeled side with its validation accuracy
+    (None, None without ``with_encoder``). No ``outlier_ratio`` is read."""
+    for k in range(cfg.k_models):
+        try:
+            split = split_by_intents(d_l, cfg.alpha, substream(cfg.master_seed, "split", k))
+            encoder, enc_acc = None, None
+            if with_encoder:
+                encoder, enc_acc = fit_encoder(split.rl, cfg.train_cfg,
+                                               substream(cfg.master_seed, "inner", k),
+                                               derive_seed(cfg.master_seed, "train", k))
+        except DdceError as exc:
+            raise DdceError(f"base model {k}: {exc}") from exc
+        yield split, encoder, enc_acc
+
+
 def train_base_models(
     d_l: LabeledDataset,
     outlier_source: UnlabeledDataset,
     cfg: PipelineConfig,
     embeddings: EmbeddingMatrix | None = None,
+    stage_one=None,
 ) -> list[BaseModelArtifact]:
-    """Train the K base models. Model k draws every random choice from a
-    stream derived from (master_seed, k): the intent split, the inner
-    split, encoder initialization and batching, outlier injection and the
-    hyperparameter search."""
+    """Train the K base models. Stage two takes model k's stage one (from
+    ``stage_one``, else :func:`split_and_train` run here model by model),
+    injects outliers into its held-out side, encodes it and searches. Every
+    random choice of model k draws from a stream derived from (master_seed, k)."""
+    if stage_one is None:
+        stage_one = split_and_train(d_l, cfg, with_encoder=embeddings is None)
     artifacts = []
-    for k in range(cfg.k_models):
+    for k, (split, encoder, enc_acc) in enumerate(stage_one):
         try:
-            split = split_by_intents(d_l, cfg.alpha, substream(cfg.master_seed, "split", k))
             hs_val = inject_outliers(
                 split.hs, outlier_source, cfg.outlier_ratio,
                 substream(cfg.master_seed, "inject", k),
             )
-            if embeddings is None:
-                encoder, enc_acc = fit_encoder(
-                    split.rl, cfg.train_cfg, substream(cfg.master_seed, "inner", k),
-                    derive_seed(cfg.master_seed, "train", k),
-                )
-                e_hs = encode(encoder, hs_val.texts(), ids=hs_val.ids())
-            else:
-                encoder, enc_acc = None, None
+            if encoder is None:
                 e_hs = embeddings.rows_for_ids(hs_val.ids())
+            else:
+                e_hs = encode(encoder, hs_val.texts(), ids=hs_val.ids())
             result = random_search(
                 e_hs, hs_val, cfg.search_space, cfg.s_min,
                 seed=derive_seed(cfg.master_seed, "search", k), metric=cfg.metric,
@@ -167,13 +180,14 @@ def run_ddce(
     outlier_source: UnlabeledDataset,
     cfg: PipelineConfig,
     embeddings: EmbeddingMatrix | None = None,
+    stage_one=None,
 ) -> RunReport:
-    """The full pipeline: train base models, cluster the unlabeled set with
-    each, apply the configured consensus function. The emitted partition
-    always respects the minimum cluster size. When the unlabeled rows
-    carry hidden ground truth, test scores are attached."""
+    """The full pipeline: train base models (from ``stage_one`` if given),
+    cluster the unlabeled set with each, apply the configured consensus
+    function. The emitted partition respects the minimum cluster size.
+    When the unlabeled rows carry hidden ground truth, test scores are attached."""
     t0 = time.perf_counter()
-    artifacts = train_base_models(d_l, outlier_source, cfg, embeddings=embeddings)
+    artifacts = train_base_models(d_l, outlier_source, cfg, embeddings, stage_one)
     ts = infer(d_ul, artifacts, cfg, embeddings=embeddings)
     raw, details = consensus_mod.run_consensus(
         cfg.consensus_fn, ts, seed=derive_seed(cfg.master_seed, "consensus")
@@ -208,9 +222,9 @@ def _to_json(value):
 
 
 def _from_json(cls, obj, where: str, prefix: str = ""):
-    """Build dataclass ``cls`` from a JSON object, type-checking every value
-    against the field's annotation. Unknown keys and missing fields without
-    a default are rejected; ``where`` names the object in messages and
+    """Build dataclass ``cls``, whose fields all have defaults, from a JSON
+    object, type-checking every value against the field's annotation.
+    Unknown keys are rejected; ``where`` names the object in messages and
     ``prefix`` is prepended to its field names."""
     if not isinstance(obj, dict):
         raise DdceError(f"{where}: expected object, got {_json_type(obj)}")
@@ -218,13 +232,8 @@ def _from_json(cls, obj, where: str, prefix: str = ""):
     if unknown:
         raise DdceError(f"unknown {where} keys: {sorted(unknown)}")
     hints = get_type_hints(cls)
-    kwargs = {}
-    for f in fields(cls):
-        if f.name in obj:
-            kwargs[f.name] = _value_from_json(hints[f.name], obj[f.name], prefix + f.name)
-        elif f.default is MISSING and f.default_factory is MISSING:
-            raise DdceError(f"{where} is missing {f.name!r}")
-    return cls(**kwargs)
+    return cls(**{f.name: _value_from_json(hints[f.name], obj[f.name], prefix + f.name)
+                  for f in fields(cls) if f.name in obj})
 
 
 _JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string",
@@ -239,27 +248,17 @@ def _json_type(value) -> str:
 
 
 def _value_from_json(hint, value, path: str):
-    args = get_args(hint)
-    if isinstance(hint, UnionType) and type(None) in args:
-        if value is None:
-            return None
-        (hint,) = [a for a in args if a is not type(None)]
-    elif value is None:
+    if value is None:
         raise DdceError(f"{path} must not be null")
     if is_dataclass(hint):
         return _from_json(hint, value, path, path + ".")
     if get_origin(hint) is tuple:
-        n = None if args[-1] is Ellipsis else len(args)
-        if not isinstance(value, list) or (n is not None and len(value) != n):
-            expected = "array" if n is None else f"array of {n} values"
-            raise DdceError(f"{path}: expected {expected}, got {json.dumps(value)}")
-        return tuple(_value_from_json(args[0 if n is None else i], v, f"{path}[{i}]")
-                     for i, v in enumerate(value))
-    if hint is np.ndarray:
-        try:
-            return np.array(value, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise DdceError(f"{path}: expected numeric array: {exc}") from exc
+        args = get_args(hint)
+        if not isinstance(value, list) or len(value) != len(args):
+            raise DdceError(
+                f"{path}: expected array of {len(args)} values, got {json.dumps(value)}")
+        return tuple(_value_from_json(hint_i, v, f"{path}[{i}]")
+                     for i, (hint_i, v) in enumerate(zip(args, value)))
     if isinstance(value, bool) or not isinstance(value, _SCALARS[hint]):
         raise DdceError(f"{path}: expected {_JSON_TYPES[hint]}, got {_json_type(value)}")
     return value
@@ -277,10 +276,6 @@ def config_from_dict(obj) -> PipelineConfig:
 
 def artifact_to_dict(art: BaseModelArtifact) -> dict:
     return _to_json(art)
-
-
-def artifact_from_dict(obj) -> BaseModelArtifact:
-    return _from_json(BaseModelArtifact, obj, "artifact")
 
 
 def report_to_dict(report: RunReport, cfg: PipelineConfig) -> dict:

@@ -316,6 +316,15 @@ class TestEmb1Format:
         with pytest.raises(DdceError, match="ids missing from embeddings"):
             m.rows_for_ids(["a", "zz"])
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170, 1e300])
+    def test_normalize_rows_ignores_scale(self, scale):
+        # The squares of rows beyond 1e±154 underflow or overflow; each row
+        # is brought near 1 by a power of two first.
+        x = np.array([[1.0, 0.0], [1.0, 0.1], [0.0, 1.0]])
+        assert np.allclose(normalize_rows(x * scale), normalize_rows(x), rtol=1e-15, atol=0)
+        power = np.ldexp(1.0, int(np.round(np.log2(scale))))
+        assert normalize_rows(x * power).tobytes() == normalize_rows(x).tobytes()
+
     def test_normalize_rows_keeps_zero_rows(self):
         out = normalize_rows(np.array([[0.0, 0.0], [3.0, 4.0]]))
         assert np.array_equal(out[0], [0.0, 0.0])

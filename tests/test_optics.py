@@ -57,15 +57,20 @@ def assert_matches_reference(data, params, metric):
 def dense_distances(data, metric):
     """The full n×n matrix, every row computed over all columns: the
     bitwise reference for the structure, which evaluates only the pairs
-    its candidate filter keeps."""
+    its candidate filter keeps. Euclidean distances are taken on the rows
+    scaled by 2^-e, e the binary exponent of max|data|, and scaled back."""
     if metric == "cosine":
         xn = normalize_rows(data)
         D = np.array([np.maximum(0.0, 1.0 - (xn * row).sum(axis=1)) for row in xn])
         D = D.reshape(len(data), len(data))
         np.fill_diagonal(D, 0.0)
         return D
-    D = np.array([np.sqrt(((data - row) ** 2).sum(axis=1)) for row in data])
-    return D.reshape(len(data), len(data))
+    e = int(np.frexp(np.abs(data).max(initial=0.0))[1])
+    x = np.ldexp(data, -e)
+    D = np.array([np.sqrt(((x - row) ** 2).sum(axis=1)) for row in x])
+    # A distance beyond float64's range is inf.
+    with np.errstate(over="ignore"):
+        return np.ldexp(D.reshape(len(data), len(data)), e)
 
 
 def neighbourhood_cases():
@@ -185,14 +190,42 @@ class TestNeighbourhood:
     @pytest.mark.parametrize("seed", range(40))
     def test_extreme_scale_battery_matches_dense_rows(self, metric, seed):
         data = extreme_case(seed)
-        # At 1e300 the squared differences, and the squared norms that
-        # normalize the rows, overflow: those distances are inf, and sums
-        # of infinities are NaN.
-        with np.errstate(over="ignore", invalid="ignore"):
-            pair = dense_distances(data, metric)[np.triu_indices(len(data), 1)]
-            picked = np.random.default_rng(seed).choice(pair, size=4).tolist()
-            for radius in [0.0, np.inf, pair.min(), pair.max(), *picked]:
-                assert_rows_match_dense(data, metric, radius)
+        pair = dense_distances(data, metric)[np.triu_indices(len(data), 1)]
+        picked = np.random.default_rng(seed).choice(pair, size=4).tolist()
+        for radius in [0.0, np.inf, pair.min(), pair.max(), *picked]:
+            assert_rows_match_dense(data, metric, radius)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e170])
+    def test_cosine_is_scale_invariant_beyond_float_squares(self, scale):
+        x = np.array([[1.0, 0.0], [1.0, 0.1], [0.0, 1.0]])
+        plain = pairwise_distances(x, "cosine")
+        assert np.allclose(plain.distances[:3], [0.0, 0.00496281, 1.0], atol=1e-8)
+        got = pairwise_distances(x * scale, "cosine")
+        assert np.array_equal(got.indices, plain.indices)
+        assert np.allclose(got.distances, plain.distances, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    @pytest.mark.parametrize("power", [-1000, -565, 565, 1000])
+    def test_power_of_two_scale_leaves_the_structure(self, metric, power):
+        # Scaling the rows by 2^k is exact. Cosine keeps every distance
+        # byte and euclidean scales each by 2^k exactly, with no float
+        # warning (the test configuration makes warnings errors).
+        pts, _ = cosine_blobs_with_noise(0)
+        radius = 0.3 if metric == "cosine" else 0.2
+        plain = pairwise_distances(pts, metric, radius)
+        factor = 1.0 if metric == "cosine" else np.ldexp(1.0, power)
+        got = pairwise_distances(np.ldexp(pts, power), metric, radius * factor)
+        assert np.array_equal(got.indptr, plain.indptr)
+        assert np.array_equal(got.indices, plain.indices)
+        assert got.distances.tobytes() == (plain.distances * factor).tobytes()
+
+    def test_euclidean_near_float_max_stays_finite(self):
+        pts, _ = cosine_blobs_with_noise(0)
+        plain = pairwise_distances(pts, "euclidean")
+        got = pairwise_distances(pts * 1e300, "euclidean")
+        assert np.isfinite(got.distances).all()
+        assert np.array_equal(got.indices, plain.indices)
+        assert np.allclose(got.distances, plain.distances * 1e300, rtol=1e-14)
 
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
     def test_long_runs_of_equal_distances_stay_in_index_order(self, metric):
@@ -642,6 +675,27 @@ class TestCluster:
         part = cluster(emb(pts), params, 2, "cosine")
         blob = truth != -1
         assert ari_labels(truth[blob], part.labels[blob]) >= 0.9
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 2.0**-600, 2.0**600, 1e170, 1e300])
+    def test_cosine_partition_ignores_scale(self, scale):
+        # Cosine distance does not depend on a row's length, including
+        # lengths whose squares are outside float64's range.
+        pts, _ = cosine_blobs_with_noise(2)
+        params = OpticsParams(max_eps=0.3, xi=0.05, min_samples=15)
+        plain = cluster(emb(pts), params, 2, "cosine")
+        scaled = cluster(emb(pts * scale), params, 2, "cosine")
+        assert plain.cluster_count() == 2
+        assert np.array_equal(scaled.labels, plain.labels)
+
+    @pytest.mark.parametrize("power", [-990, -565, 565, 1000])
+    def test_euclidean_partition_ignores_power_of_two_scale(self, power):
+        pts, _ = cosine_blobs_with_noise(2)
+        params = OpticsParams(max_eps=0.2, xi=0.05, min_samples=15)
+        plain = cluster(emb(pts), params, 2, "euclidean")
+        scaled_params = OpticsParams(np.ldexp(0.2, power), 0.05, 15)
+        scaled = cluster(emb(np.ldexp(pts, power)), scaled_params, 2, "euclidean")
+        assert plain.cluster_count() == 2
+        assert np.array_equal(scaled.labels, plain.labels)
 
     def test_deterministic(self):
         pts, _ = cosine_blobs_with_noise(0)

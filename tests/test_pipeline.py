@@ -1,11 +1,14 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from ddce import optics
-from ddce.corpus import UnlabeledDataset, Utterance, generate_synthetic, inject_outliers
+from ddce import optics, pipeline
+from ddce.corpus import (
+    UnlabeledDataset, Utterance, append_outliers, generate_synthetic, inject_outliers,
+)
 from ddce.embed import EmbeddingMatrix, TrainConfig
 from ddce.errors import DdceError
 from ddce.experiments import (
@@ -23,16 +26,17 @@ from ddce.optics import OpticsParams
 from ddce.pipeline import (
     BaseModelArtifact,
     PipelineConfig,
-    artifact_from_dict,
     artifact_to_dict,
     config_from_dict,
     config_to_dict,
     infer,
     report_to_dict,
     run_ddce,
+    split_and_train,
     train_base_models,
 )
 from ddce.search import SearchSpace
+from ddce.util import substream
 
 from conftest import cosine_blobs_with_noise, make_benchmark, make_labeled
 from oracles import ref_kmeans, ref_wilcoxon
@@ -88,6 +92,61 @@ class TestTrainBaseModels:
         arts = train_base_models(d_all, src.to_unlabeled(), fast_cfg(), embeddings=combined)
         assert all(a.encoder is None for a in arts)
         assert all(a.encoder_val_accuracy is None for a in arts)
+
+
+class TestStageOne:
+    def test_outlier_ratio_does_not_change_stage_one(self):
+        d_l, _, _ = make_benchmark()
+        low = list(split_and_train(d_l, fast_cfg(outlier_ratio=0.25)))
+        high = list(split_and_train(d_l, fast_cfg(outlier_ratio=2.0)))
+        assert len(low) == len(high) == 2
+        for (split_a, enc_a, acc_a), (split_b, enc_b, acc_b) in zip(low, high):
+            assert split_a.rl.ids() == split_b.rl.ids()
+            assert split_a.hs.ids() == split_b.hs.ids()
+            assert split_a.hs.intents == split_b.hs.intents
+            for name in ("W", "b", "U", "c"):
+                a, b = getattr(enc_a, name), getattr(enc_b, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert enc_a.class_labels == enc_b.class_labels and acc_a == acc_b
+
+    def test_without_encoder_yields_splits_only(self):
+        d_l, _, _ = make_benchmark()
+        with_enc = list(split_and_train(d_l, fast_cfg()))
+        without = list(split_and_train(d_l, fast_cfg(), with_encoder=False))
+        assert [s.hs.ids() for s, _, _ in without] == [s.hs.ids() for s, _, _ in with_enc]
+        assert all(enc is None and acc is None for _, enc, acc in without)
+
+    def test_given_stage_one_gives_the_same_models(self):
+        d_l, _, source = make_benchmark()
+        cfg = fast_cfg()
+        fresh = train_base_models(d_l, source, cfg)
+        reused = train_base_models(d_l, source, cfg, stage_one=list(split_and_train(d_l, cfg)))
+        assert [a.params for a in reused] == [a.params for a in fresh]
+        assert [a.val_scores for a in reused] == [a.val_scores for a in fresh]
+        assert [a.encoder_val_accuracy for a in reused] == [a.encoder_val_accuracy for a in fresh]
+
+    def test_model_k_finishes_before_model_k_plus_one_trains(self, monkeypatch):
+        trained = []
+        real_train = pipeline.train_encoder
+
+        def counting_train(*args, **kwargs):
+            trained.append(1)
+            return real_train(*args, **kwargs)
+
+        def failing_search(*args, **kwargs):
+            raise DdceError("search failed")
+
+        monkeypatch.setattr("ddce.pipeline.train_encoder", counting_train)
+        monkeypatch.setattr("ddce.pipeline.random_search", failing_search)
+        d_l, _, source = make_benchmark()
+        with pytest.raises(DdceError, match="^base model 0: search failed$"):
+            train_base_models(d_l, source, fast_cfg(k_models=3))
+        assert len(trained) == 1
+
+    def test_stage_one_errors_carry_model_index(self):
+        d_l = make_labeled({"only": 4})
+        with pytest.raises(DdceError, match="^base model 0: need at least 2 intents"):
+            next(split_and_train(d_l, fast_cfg()))
 
 
 class TestInfer:
@@ -309,6 +368,31 @@ class TestSweeps:
               [(round(a, 2), round(m, 3)) for a, m, _ in ranking])
         assert len(rows) == 5
 
+    def test_outlier_sweep_matches_independent_runs(self):
+        # The sweep trains stage one once; each row must still be what a
+        # full run_ddce of that ratio alone gives.
+        d_l, d_ul, source = make_benchmark(test_outlier_ratio=0.0)
+        cfg = fast_cfg(k_models=3)
+        ratios = [0.25, 0.5, 1.0]
+        rows, _ = sweep_outlier_ratio(d_l, d_ul, source, cfg, ratios)
+        perm = substream(cfg.master_seed, "test-inject").permutation(source.M)
+        for row, ratio in zip(rows, ratios):
+            d_test = append_outliers(d_ul, source, ratio, lambda n: perm[:n])
+            report = run_ddce(
+                d_l, d_test, source, replace(cfg, consensus_fn="BOKV", outlier_ratio=ratio)
+            )
+            base_mean = float(np.mean([s.score for s in report.base_test_scores]))
+            assert row == (ratio, report.consensus_test_scores.score, base_mean)
+
+    def test_outlier_sweep_without_ratios_trains_nothing(self, monkeypatch):
+        def no_train(*args, **kwargs):
+            raise AssertionError("encoder trained for an empty sweep")
+
+        monkeypatch.setattr("ddce.pipeline.train_encoder", no_train)
+        d_l, d_ul, source = make_benchmark(test_outlier_ratio=0.0)
+        rows, csv_text = sweep_outlier_ratio(d_l, d_ul, source, fast_cfg(), [])
+        assert rows == [] and csv_text.splitlines() == ["ratio,bokv_score,base_mean_score"]
+
     def test_outlier_sweep_shape(self):
         d_l, d_ul, source = make_benchmark(test_outlier_ratio=0.0)
         ratios = [0.0, 0.5]
@@ -350,7 +434,11 @@ class TestSweeps:
         def no_run(*args, **kwargs):
             raise AssertionError("run_ddce called on data without ground truth")
 
+        def no_train(*args, **kwargs):
+            raise AssertionError("encoder trained on data without ground truth")
+
         monkeypatch.setattr("ddce.experiments.run_ddce", no_run)
+        monkeypatch.setattr("ddce.pipeline.train_encoder", no_train)
         d_l, d_ul, source = make_benchmark(o=4, test_outlier_ratio=0.0)
         hidden = UnlabeledDataset(rows=[Utterance(id=r.id, text=r.text) for r in d_ul.rows])
         with pytest.raises(DdceError, match="ground truth"):
@@ -416,18 +504,17 @@ class TestConfigSerialization:
 
 
 class TestArtifactSerialization:
-    def test_roundtrip_with_encoder(self):
+    def test_writer_keeps_every_field_exactly(self):
+        # artifacts.json is an output record: each field appears under its
+        # name, and JSON's shortest float repr keeps the weights' values.
         d_l, _, source = make_benchmark()
         art = train_base_models(d_l, source, fast_cfg(k_models=1))[0]
-        back = artifact_from_dict(json.loads(json.dumps(artifact_to_dict(art))))
-        assert back.params == art.params
-        assert back.val_scores == art.val_scores
-        assert np.allclose(back.encoder.W, art.encoder.W)
-        assert back.encoder.class_labels == art.encoder.class_labels
-
-    def test_missing_required_field_rejected(self):
-        d_l, _, source = make_benchmark()
-        obj = artifact_to_dict(train_base_models(d_l, source, fast_cfg(k_models=1))[0])
-        del obj["encoder"]["W"]
-        with pytest.raises(DdceError, match="encoder is missing 'W'"):
-            artifact_from_dict(obj)
+        obj = json.loads(json.dumps(artifact_to_dict(art)))
+        assert list(obj) == ["split_seed", "params", "val_scores", "encoder_val_accuracy",
+                             "encoder"]
+        assert OpticsParams(**obj["params"]) == art.params
+        assert Scores(**obj["val_scores"]) == art.val_scores
+        assert obj["encoder_val_accuracy"] == art.encoder_val_accuracy
+        assert obj["encoder"]["class_labels"] == list(art.encoder.class_labels)
+        for name in ("W", "b", "U", "c"):
+            assert np.array(obj["encoder"][name]).tobytes() == getattr(art.encoder, name).tobytes()
