@@ -4,10 +4,12 @@ outlier rule.
 
 All tie-breaking is deterministic (smallest index wins) so ensemble runs
 are exactly reproducible. Neighbor search builds the ε-neighbourhood
-exactly: a blocked float32 matrix product picks the candidate pairs, with
-a margin from the floating-point error bound, and only those are
-evaluated in float64 by the exact per-pair expression. Only the pairs
-within max_eps are kept, so memory scales with their number, not with n².
+exactly: a blocked float32 matrix product over the upper triangle picks
+the candidate pairs, with a margin from the floating-point error bound,
+and only those are evaluated in float64 by the exact per-pair expression,
+each pair once; the distance is symmetric to the last bit, so it is
+mirrored into the other row. Only the pairs within max_eps are kept, so
+memory scales with their number, not with n².
 The ordering loop visits only the points that can take part in a block:
 a point with no core distance and no core point within max_eps is placed
 by index, outside the loop. The intended scale is thousands of points,
@@ -16,13 +18,14 @@ not millions.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .embed import EmbeddingMatrix, normalize_rows
 from .errors import DdceError
-from .util import read_jsonl, write_jsonl
+from .util import atomic_write_text, read_jsonl
 
 METRICS = ("cosine", "euclidean")
 
@@ -156,33 +159,30 @@ def _exact_distances(
 
 def _pairs_within(
     x: np.ndarray, x32: np.ndarray, a: int, b: int, radius: float, sq32: np.ndarray | None,
-    bound: np.float32, cosine: bool, e: int,
+    bound: np.float32, cosine: bool, e: int, upper: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows [a, b) of the structure: each row's length, then the columns
-    (as int32) and distances of the rows one after another, each row in
-    (distance, index) order. The candidates are each row's own column and
-    the pairs whose float32 approximation is at least ``bound`` for cosine
-    and not above it for euclidean: see :func:`pairwise_distances`."""
-    approx = x32[a:b] @ x32.T
+    """The pairs (i, j) within ``radius`` with a <= i < b and i < j, in
+    (i, j) order: their rows and columns as int32, and their distances.
+    The candidates are the pairs whose float32 approximation is at least
+    ``bound`` for cosine and not above it for euclidean: see
+    :func:`pairwise_distances`. ``upper`` is True above the diagonal of a
+    square at least b - a wide: a mask made once per call saves a new one
+    per block."""
+    approx = x32[a:b] @ x32[a:].T
     if cosine:
         near = approx >= bound
     else:
         approx *= -2.0
         approx += sq32[a:b, None]
-        approx += sq32
+        approx += sq32[a:]
         near = ~(approx > bound)
     del approx  # freed before the candidates are evaluated, to lower the peak
-    np.fill_diagonal(near[:, a:], True)
-    r, j = np.divmod(np.flatnonzero(near), len(x))
-    i = r + a
+    near[:, :b - a] &= upper[:b - a, :b - a]  # columns [a, b): keep j > i only
+    r, c = np.divmod(np.flatnonzero(near), len(x) - a)
+    i, j = r + a, c + a
     dist = _exact_distances(x, i, j, cosine, e)
-    dist[i == j] = 0.0
     kept = dist <= radius
-    r, j, dist = r[kept], j[kept], dist[kept]
-    # The candidates arrive in (row, column) order and lexsort is stable,
-    # so equal distances stay in column order.
-    order = np.lexsort((dist, r))
-    return np.bincount(r, minlength=b - a), j[order].astype(np.int32), dist[order]
+    return i[kept].astype(np.int32), j[kept].astype(np.int32), dist[kept]
 
 
 def pairwise_distances(x: np.ndarray, metric: str, radius: float = np.inf) -> Neighbourhood:
@@ -196,16 +196,22 @@ def pairwise_distances(x: np.ndarray, metric: str, radius: float = np.inf) -> Ne
     (short of float64 underflow) and keeps every |x_k| < 1, so no square
     overflows and float32 cannot, and the distances of x·2^k are those of
     x times 2^k, bit for bit. The rows so prepared are cast to float32
-    once. Rows are built whole, in blocks of ``2**18 // n`` rows, so that
+    once. The pairs are found in blocks of ``2**18 // n`` rows, so that
     one block's float32 values take 1 MB. For each block [a, b) one
-    float32 matrix product approximates every column: the dot product for
-    cosine, and |x|² + |y|² - 2 x·y, the scaled squared distance, for
-    euclidean. Only the pairs that the approximation cannot rule out are
-    evaluated, in float64, with the exact per-row expression. Each pair is
-    thus evaluated from both of its rows, and both give the same bytes:
-    products commute and x - y = -(y - x) exactly, so every term, and the
-    sum taken in the same order, is equal. Memory scales with the number
-    of pairs within ``radius``, not n².
+    float32 matrix product approximates the columns [a, n): the dot
+    product for cosine, and |x|² + |y|² - 2 x·y, the scaled squared
+    distance, for euclidean. The block's leading square is masked on and
+    below its diagonal, so each pair (i, j), i < j, is seen once, from row
+    i. Only the pairs that the approximation cannot rule out are
+    evaluated, in float64, with the exact per-row expression. Row j gets
+    a mirror entry of each pair (i, j) kept: products commute and
+    x - y = -(y - x) exactly, so every term, and the sum taken in the same
+    order, is equal, and evaluating the pair from row j would give the
+    same bytes. Each row lists its mirror entries by i, then itself at
+    0.0, then its own pairs by j, so its columns increase; one stable
+    lexsort per block by (row, distance) then leaves equal distances in
+    index order. Memory scales with the number of pairs within
+    ``radius``, not n².
 
     The filter never drops a pair the exact expression keeps. Let
     u = 2^-53 and u32 = 2^-24 be the float64 and float32 unit roundoffs,
@@ -234,9 +240,10 @@ def pairwise_distances(x: np.ndarray, metric: str, radius: float = np.inf) -> Ne
       rows, S its two squared norms summed, and r the scaled radius. The
       computed sum q is within relative (d + 2)·u of D², less 2^-1075 per
       square that underflows. A kept pair has fl(√q)·2^e <= radius, where
-      the product rounds only below 2^-1022, and only when e < 0; so
-      D² <= r²(1 + u32) + d·2^-1075 + 2^(-2043 - 2e), and the last term is
-      at most d·2^(-1074 - 2e). The cast rows b have
+      the product rounds only below 2^-1022, and only when e < 0, by at
+      most 2^-1075, which adds less than 2^(-2095 - 2e) to the square; so
+      D² <= r²(1 + u32) + d·2^-1075 + 2^(-2043 - 2e), whose last term also
+      covers the float64 rounding of the bound. The cast rows b have
       |b_i - b_j|² <= D² + 4.01·u32·S + 9d·η. The approximation takes the
       squared norms of b in float64, where products of float32 values are
       exact, lowered by the factor 1 - c, c = γ_{d+14}. Its float32
@@ -245,7 +252,7 @@ def pairwise_distances(x: np.ndarray, metric: str, radius: float = np.inf) -> Ne
       the lowering takes c·S_b off. As S_b >= (1 - u32)²·S - 4d·η, the
       approximation is at most D² + 13d·η. The candidates are the pairs
       whose approximation is at most the float32 strictly above
-      r²(1 + 2u32) + 2d·2^(-1074 - 2e) + 16(d + 1)·η, whose η terms also
+      r²(1 + 2u32) + 2^(-2043 - 2e) + 16(d + 1)·η, whose η terms also
       cover d·2^-1075; NaN counts as one.
 
     At radius infinity every pair is a candidate, and so it is when γ is
@@ -254,6 +261,8 @@ def pairwise_distances(x: np.ndarray, metric: str, radius: float = np.inf) -> Ne
     """
     if metric not in METRICS:
         raise DdceError(f"unknown metric {metric!r}, expected one of {METRICS}")
+    if not radius >= 0:  # every row holds itself
+        raise DdceError(f"radius must be >= 0, got {radius}")
     x = np.asarray(x, dtype=float)
     n, dim = x.shape
     cosine = metric == "cosine"
@@ -278,20 +287,48 @@ def pairwise_distances(x: np.ndarray, metric: str, radius: float = np.inf) -> Ne
         sq32 = sq.astype(np.float32)
         with np.errstate(over="ignore"):
             scaled = np.ldexp(radius, -e)
-            limit = scaled * scaled * (1 + 2 * _U32) + np.ldexp(2.0 * dim, -1074 - 2 * e)
+            limit = scaled * scaled * (1 + 2 * _U32) + np.ldexp(1.0, -2043 - 2 * e)
         bound = _float32_beyond(limit + 16 * (dim + 1) * _ETA32, np.inf)
     block = max(1, _BLOCK_ELEMENTS // max(n, 1))
-    # The columns stay int32, half the bytes of intp, until the final
-    # concatenation: an O(n²) build never sees 2**31 rows. When n is 0 the
+    upper = ~np.tri(min(block, n), dtype=bool)
+    # Rows and columns stay int32, half the bytes of intp, until they are
+    # written out: an O(n²) build never sees 2**31 rows. When n is 0 the
     # one empty block gives each concatenation a part.
-    counts, cols, dists = zip(*(
-        _pairs_within(x, x32, a, min(a + block, n), radius, sq32, bound, cosine, e)
+    parts = [
+        _pairs_within(x, x32, a, min(a + block, n), radius, sq32, bound, cosine, e, upper)
         for a in range(0, max(n, 1), block)
-    ))
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    distances = np.concatenate(dists)
-    del dists  # freed before the intp columns are made, to lower the peak
-    indices = np.concatenate(cols, dtype=np.intp)
+    ]
+    del x, x32, sq32  # freed before the structure is assembled, to lower the peak
+    rows, cols, dists = (np.concatenate([p[k] for p in parts]) for k in range(3))
+    del parts
+    # Each pair (i, j) also lies in row j, at column i < j. One argsort of
+    # the unique keys j·n + i puts these mirror entries in (j, i) order,
+    # and row j lists them, then itself, then its own pairs: its columns
+    # increase.
+    key = cols.astype(np.int64)
+    key *= n
+    key += rows
+    mirror = key.argsort()
+    del key
+    own_ptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    mirror_ptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
+    indptr = own_ptr + mirror_ptr + np.arange(n + 1)
+    indices = np.empty(indptr[-1], dtype=np.intp)
+    distances = np.empty(indptr[-1])
+    diagonal, zeros = np.arange(n, dtype=np.int32), np.zeros(min(block, n))
+    for a in range(0, n, block):
+        b = min(a + block, n)
+        m = mirror[mirror_ptr[a]:mirror_ptr[b]]
+        own = slice(own_ptr[a], own_ptr[b])
+        # Rows relative to the block are below min(block, n) <= 2**9, and
+        # lexsort orders 16-bit keys faster.
+        r = (np.concatenate((cols[m], diagonal[a:b], rows[own])) - a).astype(np.uint16)
+        c = np.concatenate((rows[m], diagonal[a:b], cols[own]))
+        d = np.concatenate((dists[m], zeros[:b - a], dists[own]))
+        # lexsort is stable, so equal distances stay in column order.
+        order = np.lexsort((d, r))
+        indices[indptr[a]:indptr[b]] = c[order]
+        distances[indptr[a]:indptr[b]] = d[order]
     return Neighbourhood(indptr=indptr, indices=indices, distances=distances, radius=radius)
 
 
@@ -514,7 +551,14 @@ def cluster_with_distances(
 
 
 def save_partition_jsonl(p: Partition, path: str) -> None:
-    write_jsonl(path, ({"id": rid, "cluster": int(lab)} for rid, lab in zip(p.ids, p.labels)))
+    """One ``{"id": ..., "cluster": ...}`` line per row, the bytes that
+    :func:`util.write_jsonl` writes for those objects. The ids go through
+    the encoder's string fast path: encoding a dict builds a new C encoder
+    on every call."""
+    quote = json.JSONEncoder(ensure_ascii=False).encode
+    atomic_write_text(path, "".join(
+        f'{{"id": {quote(rid)}, "cluster": {lab}}}\n' for rid, lab in zip(p.ids, p.labels.tolist())
+    ))
 
 
 def load_partition_jsonl(path: str) -> Partition:

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ddce import optics
 from ddce.embed import EmbeddingMatrix, normalize_rows
 from ddce.errors import DdceError
 from ddce.metrics import ari_labels
@@ -22,6 +23,7 @@ from ddce.optics import (
     save_partition_jsonl,
     _xi_candidate_clusters,
 )
+from ddce.util import write_jsonl
 
 from conftest import cosine_blobs_with_noise, two_blob_points
 from oracles import _pair_distance, ref_canonicalize_labels, ref_optics, ref_xi_clusters
@@ -173,6 +175,52 @@ class TestNeighbourhood:
     def test_unknown_metric_rejected(self):
         with pytest.raises(DdceError, match="unknown metric"):
             pairwise_distances(np.ones((2, 2)), "manhattan")
+
+    @pytest.mark.parametrize("radius", [-1.0, np.nan])
+    def test_radius_below_zero_rejected(self, radius):
+        with pytest.raises(DdceError, match="radius must be >= 0"):
+            pairwise_distances(np.ones((2, 2)), "cosine", radius)
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    @pytest.mark.parametrize("n", [40, 600])  # one block of rows; two blocks
+    def test_each_pair_evaluated_once_from_its_upper_row(self, monkeypatch, metric, n):
+        evaluated = []
+
+        def recording(x, i, j, cosine, e):
+            evaluated.append((i.copy(), j.copy()))
+            return exact(x, i, j, cosine, e)
+
+        exact = optics._exact_distances
+        monkeypatch.setattr(optics, "_exact_distances", recording)
+        assert (optics._BLOCK_ELEMENTS // n >= n) == (n == 40)
+        data = np.random.default_rng(n).normal(size=(n, 3))
+        middle = float(np.median(dense_distances(data, metric)))
+        for radius in (0.0, middle, np.inf):
+            evaluated.clear()
+            assert_rows_match_dense(data, metric, radius)
+            i = np.concatenate([p[0] for p in evaluated])
+            j = np.concatenate([p[1] for p in evaluated])
+            assert (i < j).all()
+            assert len(np.unique(i * n + j)) == len(i)
+            if radius == np.inf:
+                assert len(i) == n * (n - 1) // 2
+
+    def test_tiny_euclidean_rows_evaluate_no_more_pairs(self, monkeypatch):
+        # Rows scaled by 2^-600 have squared distances far below float64's
+        # smallest normal; the filter must still rule out the far pairs.
+        counts = []
+
+        def counting(x, i, j, cosine, e):
+            counts[-1] += len(i)
+            return exact(x, i, j, cosine, e)
+
+        exact = optics._exact_distances
+        monkeypatch.setattr(optics, "_exact_distances", counting)
+        pts, _ = cosine_blobs_with_noise(0)
+        for power in (0, -600):
+            counts.append(0)
+            pairwise_distances(np.ldexp(pts, power), "euclidean", np.ldexp(0.2, power))
+        assert counts[1] <= counts[0]
 
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
     @pytest.mark.parametrize("seed", range(30))
@@ -710,6 +758,15 @@ class TestCluster:
         labels = part.labels[part.labels != -1]
         if labels.size:
             assert np.bincount(labels).min() >= 5
+
+    def test_partition_jsonl_bytes_match_write_jsonl(self, tmp_path):
+        ids = ["é", "日本語", "\U0001F600", '"', "\\", "\x00\x1f\x7f", "\u2028", "", "a b"]
+        labels = [-1, 0, 2**62, 3, -1, 1, 0, 2, 4]
+        p = Partition(labels=np.array(labels), ids=ids)
+        save_partition_jsonl(p, str(tmp_path / "p.jsonl"))
+        write_jsonl(str(tmp_path / "w.jsonl"),
+                    [{"id": rid, "cluster": lab} for rid, lab in zip(ids, labels)])
+        assert (tmp_path / "p.jsonl").read_bytes() == (tmp_path / "w.jsonl").read_bytes()
 
     def test_partition_jsonl_roundtrip(self, tmp_path):
         p = Partition(labels=np.array([0, -1, 1]), ids=["a", "b", "c"])
