@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -25,12 +26,22 @@ def _json_dumps(obj) -> str:
 
 
 _INPUT_FLAGS = ("data", "source", "labeled", "unlabeled", "outlier_source", "embeddings")
+# Parsed entries that the manifest holds elsewhere, or that are not flags.
+_NOT_SETTINGS = frozenset(_INPUT_FLAGS) | {"out", "config", "seed", "command", "func", "sweep"}
+
+
+def _json_value(value):
+    """A parsed flag value as JSON; a non-finite float, which JSON cannot
+    hold, becomes its text ("inf", "nan")."""
+    if isinstance(value, list):
+        return [_json_value(v) for v in value]
+    return str(value) if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _write_manifest(args, seed: int) -> None:
     """Record what is about to run, before any computation. The input
     paths are the subcommand's file flags that are set, in _INPUT_FLAGS
-    order."""
+    order; the settings are its other flags, in parser order."""
     manifest = {
         "tool_version": __version__,
         "command": args.command,
@@ -38,6 +49,7 @@ def _write_manifest(args, seed: int) -> None:
         "input_paths": [p for p in (getattr(args, f, None) for f in _INPUT_FLAGS) if p],
         "output_dir": args.out,
         "master_seed": seed,
+        "settings": {k: _json_value(v) for k, v in vars(args).items() if k not in _NOT_SETTINGS},
     }
     atomic_write_text(os.path.join(args.out, "manifest.json"), _json_dumps(manifest))
 

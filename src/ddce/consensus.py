@@ -247,21 +247,17 @@ def mcla(ts: PartitionSet) -> Partition:
     return Partition(labels=canonicalize_labels(labels), ids=ts.ids)
 
 
-def _nmi_sums(candidates, base: np.ndarray) -> list[float]:
-    """Each candidate labeling's total NMI with the rows of ``base``."""
-    return [float(sum(nmi_labels(c, b) for b in base)) for c in candidates]
-
-
-def nmi_sum(labels: np.ndarray, ts: PartitionSet) -> float:
-    """Total agreement of a candidate labeling with every base partition."""
-    return _nmi_sums([labels], ts.labels)[0]
+def _most_agreeing(candidates, base: np.ndarray) -> tuple[int, list[float]]:
+    """Index of the candidate labeling with the highest total NMI with the
+    rows of ``base`` (the first on ties), and every candidate's total."""
+    sums = [float(sum(nmi_labels(c, b) for b in base)) for c in candidates]
+    return int(np.argmax(sums)), sums
 
 
 def chm_with_details(ts: PartitionSet, seed: int = 0) -> tuple[Partition, dict]:
     names = ("CSPA", "HGPA", "MCLA")
     candidates = [cspa(ts), hgpa(ts, seed=seed), mcla(ts)]
-    sums = _nmi_sums([c.labels for c in candidates], ts.labels)
-    idx = int(np.argmax(sums))
+    idx, sums = _most_agreeing([c.labels for c in candidates], ts.labels)
     return candidates[idx], {
         "candidate_nmi_sums": dict(zip(names, sums)), "chosen_candidate": names[idx],
     }
@@ -273,16 +269,8 @@ def chm(ts: PartitionSet, seed: int = 0) -> Partition:
     return chm_with_details(ts, seed=seed)[0]
 
 
-def _best_of_k(ts: PartitionSet, voted_out: np.ndarray) -> tuple[int, list[float]]:
-    """Index of the base labeling with the highest NMI sum against all of
-    them on the samples not voted out (the first on ties), and every sum."""
-    kept = ts.labels[:, ~voted_out]
-    sums = _nmi_sums(kept, kept)
-    return int(np.argmax(sums)), sums
-
-
 def bok_with_details(ts: PartitionSet) -> tuple[Partition, dict]:
-    idx, sums = _best_of_k(ts, np.zeros(ts.n, dtype=bool))
+    idx, sums = _most_agreeing(ts.labels, ts.labels)
     return ts.partitions[idx], {"winner_index": idx, "nmi_sums": sums}
 
 
@@ -312,7 +300,8 @@ def bokv_with_details(ts: PartitionSet) -> tuple[Partition, dict]:
             part = Partition(labels=np.full(ts.n, -1), ids=ts.ids)
             best = {"winner_index": None, "nmi_sums": None}
         else:
-            idx, sums = _best_of_k(ts, voted_out)
+            kept = ts.labels[:, ~voted_out]
+            idx, sums = _most_agreeing(kept, kept)
             part = Partition(labels=np.where(voted_out, -1, ts.labels[idx]), ids=ts.ids)
             best = {"winner_index": idx, "nmi_sums": sums}
     return part, {

@@ -108,7 +108,6 @@ class TrainConfig:
     batch_size: int = 32
     hidden_dim: int = 64
     feature_dim: int = 512
-    seed: int = 0
 
     def __post_init__(self):
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -178,11 +177,13 @@ def train_encoder(
     train: LabeledDataset,
     val: LabeledDataset,
     cfg: TrainConfig,
+    seed: int,
     loss_history: list[float] | None = None,
 ) -> tuple[EncoderModel, float]:
     """Train the encoder by mini-batch gradient descent on cross-entropy,
     evaluating validation accuracy after each epoch and returning the
-    snapshot with the highest accuracy (earliest epoch on ties).
+    snapshot with the highest accuracy (earliest epoch on ties). The initial
+    weights and the mini-batch order are drawn from ``seed``.
 
     When ``loss_history`` is given, the full-training-set loss after each
     epoch is appended to it.
@@ -197,7 +198,7 @@ def train_encoder(
     X_val = featurize(val.texts(), cfg.feature_dim).data
     y_val = np.array([label_index[r.intent] for r in val.rows], dtype=int)
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     d, h, n_classes = cfg.feature_dim, cfg.hidden_dim, len(class_labels)
     W = rng.normal(0.0, 0.5, size=(d, h))
     b = np.zeros(h)

@@ -79,7 +79,7 @@ def fit_encoder(d: LabeledDataset, train_cfg: TrainConfig, split_rng, seed: int)
     ``INNER_HOLDOUT`` validation share drawn with ``split_rng``; returns the
     encoder and its validation accuracy."""
     train, val = inner_split(d, INNER_HOLDOUT, split_rng)
-    return train_encoder(train, val, replace(train_cfg, seed=seed))
+    return train_encoder(train, val, train_cfg, seed)
 
 
 def split_and_train(d_l: LabeledDataset, cfg: PipelineConfig, with_encoder: bool = True):

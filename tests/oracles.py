@@ -67,6 +67,11 @@ def ref_nmi(a, b) -> float:
     return info / math.sqrt(ha * hb)
 
 
+def ref_nmi_sum(a, labelsets) -> float:
+    """Total :func:`ref_nmi` of labeling ``a`` with each of ``labelsets``."""
+    return sum(ref_nmi(np.asarray(a).tolist(), np.asarray(b).tolist()) for b in labelsets)
+
+
 # ---------------------------------------------------------------------------
 # Quadratic-pass OPTICS reference
 
@@ -423,7 +428,7 @@ def ref_bokv(labelsets, recalls) -> dict:
     if gate_open and not kept:
         return {"labels": [-1] * n, "winner": None, "nmi_sums": None, "gate_open": True}
     restricted = [[labels[i] for i in kept] for labels in labelsets]
-    sums = [sum(ref_nmi(a, b) for b in restricted) for a in restricted]
+    sums = [ref_nmi_sum(a, restricted) for a in restricted]
     winner = 0
     for i, s in enumerate(sums):
         if s > sums[winner]:

@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from ddce.cli import main as cli_main
-from ddce.consensus import PartitionSet, bok, bokv, bokv_with_details, chm, cspa, k_target, mcla, nmi_sum
+from ddce.consensus import PartitionSet, bok, bokv, bokv_with_details, chm, cspa, k_target, mcla
 from ddce.corpus import generate_synthetic, inner_split, save_jsonl
 from ddce.embed import EmbeddingMatrix, TrainConfig, loss_and_grads, train_encoder
 from ddce.experiments import sweep_outlier_ratio
@@ -25,6 +25,7 @@ from oracles import (
     partitions_into_k,
     ref_ari,
     ref_nmi,
+    ref_nmi_sum,
     ref_optics,
 )
 
@@ -130,9 +131,9 @@ def test_criterion_4_cspa_exhaustive_oracle():
             Partition(labels=np.array(ls), ids=[f"s{i}" for i in range(len(ls))])
             for ls in labelsets
         ])
-        achieved = nmi_sum(cspa(ts).labels, ts)
+        achieved = ref_nmi_sum(cspa(ts).labels, ts.labels)
         best = max(
-            nmi_sum(np.array(cand), ts)
+            ref_nmi_sum(cand, ts.labels)
             for cand in partitions_into_k(ts.n, k_target(ts))
         )
         gaps.append(best - achieved)
@@ -161,7 +162,7 @@ def test_criterion_5_encoder_gradients_and_training():
     )
     d, _ = generate_synthetic(6, 12, 8, 0.05, np.random.default_rng(0))
     train, val = inner_split(d, 0.25, np.random.default_rng(1))
-    _, acc = train_encoder(train, val, TrainConfig())
+    _, acc = train_encoder(train, val, TrainConfig(), 0)
     ok = worst < 1e-4 and acc >= 0.95
     _report(5, f"gradient check max rel err {worst:.2e} (<1e-4); "
                f"val accuracy {acc:.3f} (>=0.95) within 30 epochs", ok)

@@ -101,8 +101,8 @@ class TestSynthInjectEvaluate:
 
 
 class TestManifest:
-    """manifest.json names each command's input files, in flag order, and
-    the seed it ran with."""
+    """manifest.json names each command's input files, in flag order, the
+    seed it ran with, and the values of its other flags."""
 
     @pytest.fixture
     def files(self, workspace, tmp_path):
@@ -157,6 +157,60 @@ class TestManifest:
         assert manifest["command"] == command
         assert manifest["input_paths"] == [files[name] for name in inputs]
         assert manifest["master_seed"] == seed
+
+    @pytest.mark.parametrize("command, flags, settings", [
+        ("synth", ["--intents", "3", "--per-intent", "4", "--seed", "2"],
+         {"intents": 3, "per_intent": 4, "dim": 16, "sigma": 0.2, "prefix": "intent"}),
+        ("inject", ["--data", "unlabeled", "--source", "source", "--ratio", "0.5"],
+         {"ratio": 0.5}),
+        ("cluster", ["--embeddings", "emb", "--max-eps", "0.4", "--xi", "0.05",
+                     "--min-samples", "2", "--metric", "euclidean"],
+         {"max_eps": 0.4, "xi": 0.05, "min_samples": 2, "s_min": 2, "metric": "euclidean"}),
+        ("train", ["--labeled", "labeled", "--outlier-source", "source", "--embeddings", "emb"],
+         {"max_per_intent": 50}),
+        ("ensemble", ["--labeled", "labeled", "--unlabeled", "unlabeled",
+                      "--outlier-source", "source", "--max-per-intent", "0"],
+         {"max_per_intent": 0}),
+        ("baseline-kmeans", ["--labeled", "labeled", "--unlabeled", "unlabeled",
+                             "--max-per-intent", "3"], {"max_per_intent": 3}),
+        ("sweep-alpha", ["--labeled", "labeled", "--unlabeled", "unlabeled",
+                         "--outlier-source", "source", "--alphas", "0.5"],
+         {"max_per_intent": 50, "values": [0.5], "reps": 3}),
+        ("sweep-outliers", ["--labeled", "labeled", "--unlabeled", "unlabeled_clean",
+                            "--outlier-source", "source", "--ratios", "0.5,1"],
+         {"max_per_intent": 50, "values": [0.5, 1.0]}),
+    ])
+    def test_settings(self, files, command, flags, settings):
+        """The settings are the parsed flags the manifest holds nowhere else."""
+        argv = [files.get(f, f) for f in flags]
+        if command not in ("synth", "inject", "cluster"):
+            argv += ["--config", files["small"]]
+        assert run(command, *argv, "--out", files["out"]) == 0
+        manifest = json.load(open(os.path.join(files["out"], "manifest.json")))
+        assert list(manifest["settings"].items()) == list(settings.items())
+
+    @pytest.mark.parametrize("command, flags, key, value", [
+        ("cluster", ["--embeddings", "emb", "--max-eps", "inf", "--xi", "0.05",
+                     "--min-samples", "2"], "max_eps", "inf"),
+        ("inject", ["--data", "unlabeled", "--source", "source", "--ratio", "nan"],
+         "ratio", "nan"),
+        ("sweep-alpha", ["--labeled", "labeled", "--unlabeled", "unlabeled",
+                         "--outlier-source", "source", "--alphas", "0.5,-inf"],
+         "values", [0.5, "-inf"]),
+    ])
+    def test_non_finite_setting_kept_as_text(self, files, capsys, command, flags, key, value):
+        """The manifest is written before the value is rejected, and stays
+        standard JSON."""
+        argv = [files.get(f, f) for f in flags]
+        assert run(command, *argv, "--out", files["out"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        with open(os.path.join(files["out"], "manifest.json")) as fh:
+            manifest = json.loads(fh.read(), parse_constant=reject)
+        assert manifest["settings"][key] == value
 
 
 def bench_partition_sha256(workload, tmp_path, monkeypatch):
@@ -423,6 +477,7 @@ class TestMalformedInputs:
         ({"train_cfg": {"feature_dim": 2**62}}, "feature_dim"),
         ({"train_cfg": {"hidden_dim": 2**62}}, "hidden_dim"),
         ({"train_cfg": {"feature_dim": 10**23}}, "feature_dim"),
+        ({"train_cfg": {"seed": 1}}, "seed"),  # every model's seed derives from master_seed
     ])
     def test_out_of_range_config_fails_at_load(self, workspace, tmp_path, capsys, config, key):
         """Rejected before any base model trains, with the key named."""

@@ -126,13 +126,13 @@ class TestTrainEncoder:
 
     def test_separable_data_reaches_high_accuracy(self):
         train, val = self._synthetic_split()
-        _, acc = train_encoder(train, val, TrainConfig())
+        _, acc = train_encoder(train, val, TrainConfig(), 0)
         assert acc >= 0.95
 
     def test_zero_epochs_returns_init(self):
         train, val = self._synthetic_split()
-        cfg = TrainConfig(epochs=0, feature_dim=64, hidden_dim=16, seed=5)
-        model, acc = train_encoder(train, val, cfg)
+        cfg = TrainConfig(epochs=0, feature_dim=64, hidden_dim=16)
+        model, acc = train_encoder(train, val, cfg, 5)
         X_val = featurize(val.texts(), 64).data
         y_val = np.array([sorted(train.intents).index(r.intent) for r in val.rows])
         logits = np.tanh(X_val @ model.W + model.b) @ model.U + model.c
@@ -140,9 +140,9 @@ class TestTrainEncoder:
 
     def test_deterministic(self):
         train, val = self._synthetic_split()
-        cfg = TrainConfig(epochs=3, feature_dim=64, hidden_dim=16, seed=11)
-        m1, a1 = train_encoder(train, val, cfg)
-        m2, a2 = train_encoder(train, val, cfg)
+        cfg = TrainConfig(epochs=3, feature_dim=64, hidden_dim=16)
+        m1, a1 = train_encoder(train, val, cfg, 11)
+        m2, a2 = train_encoder(train, val, cfg, 11)
         assert a1 == a2
         assert np.array_equal(m1.W, m2.W) and np.array_equal(m1.U, m2.U)
 
@@ -150,7 +150,7 @@ class TestTrainEncoder:
         train, val = self._synthetic_split()
         bigger, _ = generate_synthetic(8, 4, 8, 0.05, np.random.default_rng(2))
         with pytest.raises(DdceError, match="absent"):
-            train_encoder(train, bigger, TrainConfig(epochs=1, feature_dim=64, hidden_dim=16))
+            train_encoder(train, bigger, TrainConfig(epochs=1, feature_dim=64, hidden_dim=16), 0)
 
     def test_full_batch_loss_monotone_at_small_lr(self):
         train, val = self._synthetic_split(seed=4, n_intents=4, rows=8)
@@ -159,7 +159,7 @@ class TestTrainEncoder:
             learning_rate=0.001, epochs=12, batch_size=train.N,
             feature_dim=64, hidden_dim=16,
         )
-        train_encoder(train, val, cfg, loss_history=history)
+        train_encoder(train, val, cfg, 0, loss_history=history)
         assert len(history) == 12
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
@@ -170,7 +170,7 @@ class TestTrainEncoder:
         cfg = TrainConfig(learning_rate=100.0, epochs=5, feature_dim=64, hidden_dim=16)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            train_encoder(train, val, cfg, loss_history=history)
+            train_encoder(train, val, cfg, 0, loss_history=history)
         assert len(history) == 5 and np.all(np.isfinite(history))
 
     def test_diverging_training_raises_one_error_without_warnings(self):
@@ -180,7 +180,7 @@ class TestTrainEncoder:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DdceError, match=r"diverged .*train_cfg\.learning_rate, now 1e\+308"):
-                train_encoder(train, val, cfg)
+                train_encoder(train, val, cfg, 0)
 
     def test_weight_matrix_size_bound(self):
         TrainConfig(feature_dim=2**16, hidden_dim=2**16 - 1)
@@ -191,19 +191,19 @@ class TestTrainEncoder:
 class TestEncode:
     def test_identical_texts_identical_embeddings(self):
         train, val = TestTrainEncoder._synthetic_split()
-        model, _ = train_encoder(train, val, TrainConfig(epochs=2, feature_dim=64, hidden_dim=16))
+        model, _ = train_encoder(train, val, TrainConfig(epochs=2, feature_dim=64, hidden_dim=16), 0)
         m = encode(model, ["same text", "same text", "different"])
         assert np.array_equal(m.data[0], m.data[1])
 
     def test_output_dim_is_hidden_dim(self):
         train, val = TestTrainEncoder._synthetic_split()
-        model, _ = train_encoder(train, val, TrainConfig(epochs=1, feature_dim=64, hidden_dim=16))
+        model, _ = train_encoder(train, val, TrainConfig(epochs=1, feature_dim=64, hidden_dim=16), 0)
         assert encode(model, ["a", "b c", "d"]).d == 16
 
     def test_within_intent_cosine_exceeds_cross(self):
         d, _ = generate_synthetic(2, 20, 8, 0.05, np.random.default_rng(1))
         train, val = inner_split(d, 0.25, np.random.default_rng(2))
-        model, _ = train_encoder(train, val, TrainConfig(feature_dim=128, hidden_dim=16))
+        model, _ = train_encoder(train, val, TrainConfig(feature_dim=128, hidden_dim=16), 0)
         m = encode(model, d.texts(), ids=d.ids())
         labels = np.array([0 if r.intent.endswith("-0") else 1 for r in d.rows])
         sims = m.data @ m.data.T
@@ -216,7 +216,7 @@ class TestEncode:
 
     def test_permutation_equivariant(self):
         train, val = TestTrainEncoder._synthetic_split()
-        model, _ = train_encoder(train, val, TrainConfig(epochs=1, feature_dim=64, hidden_dim=16))
+        model, _ = train_encoder(train, val, TrainConfig(epochs=1, feature_dim=64, hidden_dim=16), 0)
         texts = ["one two", "three", "four five six"]
         fwd = encode(model, texts).data
         rev = encode(model, texts[::-1]).data

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -256,6 +256,41 @@ class TestRunDdce:
         non_outlier = labels[labels != -1]
         if non_outlier.size:
             assert np.bincount(non_outlier).min() >= 3
+
+    def test_every_config_value_is_read(self):
+        """One run on the built-in encoder reads each leaf value of the
+        caller's config, so no setting is parsed and reported without
+        acting. Reads count on the caller's instances only: a
+        dataclasses.replace copy carries every value but the one it
+        overrides, so reads on a copy would hide a value that was dropped."""
+        reads = set()
+
+        def recording(cls, prefix):
+            names = {f.name for f in fields(cls)}
+
+            class Recording(cls):
+                _record = False  # set on the caller's instances once built
+
+                def __getattribute__(self, name):
+                    if name in names and object.__getattribute__(self, "_record"):
+                        reads.add(prefix + name)
+                    return super().__getattribute__(name)
+
+            return Recording
+
+        space = recording(SearchSpace, "search_space.")(n_trials=4)
+        train = recording(TrainConfig, "train_cfg.")(epochs=2)
+        cfg = recording(PipelineConfig, "")(k_models=2, search_space=space, train_cfg=train)
+        for instance in (space, train, cfg):
+            object.__setattr__(instance, "_record", True)
+        d_l, d_ul, source = make_benchmark()
+        run_ddce(d_l, d_ul, source, cfg)
+        leaves = set()
+        for f in fields(PipelineConfig):
+            nested = {"search_space": SearchSpace, "train_cfg": TrainConfig}.get(f.name)
+            leaves |= {f"{f.name}.{g.name}" for g in fields(nested)} if nested else {f.name}
+        assert len(leaves) == 16
+        assert sorted(leaves - reads) == []
 
 
 class TestKmeans:
