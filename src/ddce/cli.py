@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 from . import __version__, corpus, embed, experiments, metrics, optics, pipeline
 from .errors import DdceError
-from .util import atomic_write_text, parse_json, read_text, substream
+from .util import atomic_write_text, parse_json, read_text, substream, utf8_encodable
 
 
 def _json_dumps(obj) -> str:
@@ -296,6 +296,13 @@ def main(argv: list[str] | None = None) -> int:
     if not getattr(args, "command", None):
         parser.print_usage(sys.stderr)
         return 1
+    # A byte that is not UTF-8 reaches argv as a lone surrogate, which the
+    # manifest and every output could not hold.
+    for name, value in vars(args).items():
+        if isinstance(value, str) and not utf8_encodable(value):
+            flag = "--" + name.replace("_", "-")
+            print(f"error: {flag} is not valid UTF-8: {value!r}", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except (DdceError, OSError) as exc:

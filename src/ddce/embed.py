@@ -50,7 +50,7 @@ class EmbeddingMatrix:
         if missing:
             raise DdceError(f"ids missing from embeddings: {missing[:5]}")
         sel = np.array([index[rid] for rid in ids], dtype=int)
-        return EmbeddingMatrix(data=self.data[sel].copy(), row_ids=list(ids))
+        return EmbeddingMatrix(data=self.data[sel], row_ids=list(ids))
 
 
 def normalize_rows(x: np.ndarray) -> np.ndarray:

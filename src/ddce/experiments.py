@@ -158,39 +158,26 @@ def sweep_outlier_ratio(
 
 
 def wilcoxon_signed_rank(diffs: list[float]) -> float:
-    """Two-sided Wilcoxon signed-rank p-value. Zero differences are
-    dropped; ties get midranks. Exact null distribution (via subset-sum
-    counting over doubled ranks) for up to 25 pairs, normal approximation
-    with tie correction beyond."""
+    """Two-sided Wilcoxon signed-rank p-value, exact for every number of
+    pairs. Zero differences are dropped; ties get midranks. The null
+    distribution of the doubled rank sum is built one rank at a time in
+    probability space (each rank's sign is a fair coin, so the array is
+    halved after each rank), which keeps every entry at most 1; a tail
+    below the smallest double reads 0."""
     d = np.array([x for x in diffs if x != 0.0])
-    n = len(d)
-    if n == 0:
+    if len(d) == 0:
         return 1.0
-    # A tie group's midrank is its last rank minus half its extra members.
+    # A tie group's midrank is its last rank minus half its extra members;
+    # doubled, every midrank is an integer.
     _, group, tie_counts = np.unique(np.abs(d), return_inverse=True, return_counts=True)
-    ranks = (np.cumsum(tie_counts) - (tie_counts - 1) / 2.0)[group]
-    w_plus = float(ranks[d > 0].sum())
-    if n <= 25:
-        dranks = np.rint(2.0 * ranks).astype(int)
-        total = int(dranks.sum())
-        counts = np.zeros(total + 1)
-        counts[0] = 1.0
-        for r in dranks:  # every doubled rank is at least 2
-            counts[r:] = counts[r:] + counts[:-r]
-        w2 = int(round(2.0 * w_plus))
-        denom = counts.sum()
-        p_low = counts[: w2 + 1].sum() / denom
-        p_high = counts[w2:].sum() / denom
-        return float(min(1.0, 2.0 * min(p_low, p_high)))
-    mean = n * (n + 1) / 4.0
-    tie_term = sum(t ** 3 - t for t in tie_counts) / 48.0
-    var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term
-    z = (w_plus - mean) / math.sqrt(var)
-    return float(min(1.0, 2.0 * (1.0 - _norm_cdf(abs(z)))))
-
-
-def _norm_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+    dranks = (2 * np.cumsum(tie_counts) - (tie_counts - 1))[group]
+    probs = np.zeros(int(dranks.sum()) + 1)
+    probs[0] = 1.0
+    for r in dranks:  # every doubled rank is at least 2
+        probs[r:] = probs[r:] + probs[:-r]
+        probs *= 0.5
+    w2 = int(dranks[d > 0].sum())
+    return float(min(1.0, 2.0 * min(probs[: w2 + 1].sum(), probs[w2:].sum())))
 
 
 def _relative_improvement(bokv_score: float, base_mean: float) -> float:

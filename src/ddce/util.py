@@ -96,9 +96,27 @@ def parse_json(text: str, where: str):
 
 
 def read_jsonl(path: str) -> list[tuple[int, object]]:
-    """(line number, parsed value) for each non-blank line of a JSONL file."""
-    lines = enumerate(read_text(path).split("\n"), start=1)
-    return [(n, parse_json(line.strip(), f"{path}:{n}")) for n, line in lines if line.strip()]
+    """(line number, parsed value) for each non-blank line of a JSONL file.
+    A string that decodes to a lone surrogate (an unpaired ``\\ud800``
+    escape) is an error naming its line: no UTF-8 output could hold it."""
+    rows = []
+    for n, line in enumerate(read_text(path).split("\n"), start=1):
+        if line.strip():
+            value = parse_json(line.strip(), f"{path}:{n}")
+            # Only a \u escape can decode to a surrogate in text read as UTF-8.
+            if "\\u" in line and not utf8_encodable(json.dumps(value, ensure_ascii=False)):
+                raise DdceError(f"{path}:{n}: string holds a lone surrogate")
+            rows.append((n, value))
+    return rows
+
+
+def utf8_encodable(text: str) -> bool:
+    """Whether ``text`` encodes as UTF-8, i.e. holds no lone surrogate."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def write_jsonl(path: str, objs) -> None:

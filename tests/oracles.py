@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -438,7 +439,7 @@ def ref_bokv(labelsets, recalls) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Wilcoxon signed-rank by enumerating every sign vector
+# Wilcoxon signed-rank by enumerating every sign vector, and by exact rational DP
 
 def ref_wilcoxon(diffs) -> float:
     """Two-sided exact Wilcoxon signed-rank p-value: zeros dropped, midranks
@@ -458,6 +459,30 @@ def ref_wilcoxon(diffs) -> float:
         low += w <= w_plus
         high += w >= w_plus
     return min(1.0, 2 * min(low, high) / 2 ** n)
+
+
+def ref_wilcoxon_dp(diffs) -> float:
+    """Two-sided exact Wilcoxon signed-rank p-value at any n: zeros dropped,
+    doubled midranks counted as 2 (#smaller) + #equal + 1, the null
+    distribution of 2 W+ kept as a dict from each reachable sum to its
+    number of sign vectors (Python integers, so no count is rounded), and
+    the tails divided by 2^n as Fractions."""
+    d = [x for x in diffs if x != 0.0]
+    if not d:
+        return 1.0
+    mags = [abs(x) for x in d]
+    ranks2 = [2 * sum(1 for m in mags if m < a) + sum(1 for m in mags if m == a) + 1
+              for a in mags]
+    w2 = sum(r for r, x in zip(ranks2, d) if x > 0)
+    ways = {0: 1}
+    for r in ranks2:
+        step = Counter(ways)
+        for total, count in ways.items():
+            step[total + r] += count
+        ways = step
+    low = sum(count for total, count in ways.items() if total <= w2)
+    high = sum(count for total, count in ways.items() if total >= w2)
+    return float(min(Fraction(1), Fraction(2 * min(low, high), 2 ** len(d))))
 
 
 # ---------------------------------------------------------------------------

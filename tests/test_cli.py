@@ -99,6 +99,19 @@ class TestSynthInjectEvaluate:
     def test_missing_file_is_data_error(self, tmp_path):
         assert run("evaluate", "--truth", "/nope.jsonl", "--pred", "/nope2.jsonl") == 2
 
+    def test_escaped_surrogate_pair_is_one_character(self, tmp_path, workspace):
+        """A \\ud83d\\ude00 escape pair decodes to one character, kept as it is."""
+        data = str(tmp_path / "pair.jsonl")
+        with open(data, "w") as fh:
+            fh.write(open(workspace["unlabeled_clean"]).read())
+            fh.write(json.dumps({"id": "novel-\U0001F600", "text": "t \U0001F600"}) + "\n")
+        assert "\\ud83d\\ude00" in open(data).read()
+        out = str(tmp_path / "inj")
+        assert run("inject", "--data", data, "--source", workspace["source"],
+                   "--ratio", "0.5", "--out", out) == 0
+        rows = [json.loads(x) for x in open(os.path.join(out, "injected.jsonl"), encoding="utf-8")]
+        assert [r["text"] for r in rows if r["id"] == "novel-\U0001F600"] == ["t \U0001F600"]
+
 
 class TestManifest:
     """manifest.json names each command's input files, in flag order, the
@@ -591,6 +604,68 @@ class TestMalformedInputs:
         assert self._assert_one_error(code, capsys) == expected
         assert not os.path.exists(tmp_path / "x" / "labeled.jsonl")
 
+    @pytest.mark.parametrize("command, field", [("ensemble", "id"), ("inject", "id"),
+                                                ("inject", "text")])
+    def test_lone_surrogate_in_jsonl(self, workspace, tmp_path, capsys, monkeypatch,
+                                     command, field):
+        """A \\ud800 escape is valid JSON, but no UTF-8 output can hold the
+        string it decodes to: the read stops at its line, before any model
+        trains, and only the manifest is written."""
+        def no_train(*args, **kwargs):
+            raise AssertionError("encoder trained on an unreadable input")
+
+        monkeypatch.setattr("ddce.pipeline.train_encoder", no_train)
+        data = str(tmp_path / "surrogate.jsonl")
+        lines = open(workspace["unlabeled_clean"]).read().splitlines()
+        row = {"id": "novel-x", "text": "novel text"}
+        row[field] += "\ud800"
+        lines.insert(2, json.dumps(row))  # escaped as \ud800, so the file is UTF-8
+        with open(data, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        out = str(tmp_path / "x")
+        args = {
+            "ensemble": ("--labeled", workspace["labeled"], "--unlabeled", data,
+                         "--outlier-source", workspace["source"],
+                         "--config", workspace["config"]),
+            "inject": ("--data", data, "--source", workspace["source"], "--ratio", "0.5"),
+        }[command]
+        code = run(command, *args, "--out", out)
+        assert f"{data}:3: string holds a lone surrogate" in self._assert_one_error(code, capsys)
+        assert os.listdir(out) == ["manifest.json"]
+
+    @pytest.mark.parametrize("command, flag", [
+        ("synth", "--out"), ("synth", "--prefix"), ("ensemble", "--labeled"),
+        ("ensemble", "--config"), ("ensemble", "--out"),
+    ])
+    def test_argument_not_utf8(self, workspace, tmp_path, capsys, command, flag):
+        """A non-UTF-8 byte in argv arrives as a lone surrogate; the manifest
+        cannot hold it, so the run stops before writing anything."""
+        args = {
+            "synth": {"--intents": "2", "--per-intent": "2", "--prefix": "intent"},
+            "ensemble": {"--labeled": workspace["labeled"], "--unlabeled": workspace["unlabeled"],
+                         "--outlier-source": workspace["source"],
+                         "--config": workspace["config"]},
+        }[command]
+        args["--out"] = str(tmp_path / "out")
+        args[flag] = str(tmp_path / "bad\udcff")
+        before = sorted(os.listdir(tmp_path))
+        code = main([command, *(a for pair in args.items() for a in pair)])
+        assert self._assert_one_error(code, capsys).startswith(f"error: {flag} is not valid UTF-8")
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_output_rename_fails(self, tmp_path, capsys):
+        """partition.jsonl is a directory: the rename fails, the error is
+        one line, and the temporary file is removed."""
+        emb = str(tmp_path / "e.emb1")
+        save_embeddings(EmbeddingMatrix(np.eye(4), list("abcd")), emb)
+        out = tmp_path / "out"
+        (out / "partition.jsonl").mkdir(parents=True)
+        code = run("cluster", "--embeddings", emb, "--max-eps", "0.5", "--xi", "0.05",
+                   "--min-samples", "2", "--out", str(out))
+        assert "partition.jsonl" in self._assert_one_error(code, capsys)
+        assert sorted(os.listdir(out)) == ["manifest.json", "partition.jsonl"]
+        assert os.listdir(out / "partition.jsonl") == []
+
     @staticmethod
     def _assert_one_error(code, capsys):
         err = capsys.readouterr().err.splitlines()
@@ -628,6 +703,42 @@ class TestTrainAndBaseline:
             ["train", "--labeled", path, "--outlier-source", path, "--out", str(tmp_path), *flag])
         _, d, *_ = _load_inputs(args)
         assert [sum(1 for r in d.rows if r.intent == i) for i in "ab"] == [expected, 4]
+
+
+class TestWithoutGroundTruth:
+    """Unlabeled rows with neither intents nor outlier flags: the commands
+    print a cluster count and write no scores."""
+
+    @pytest.fixture
+    def hidden(self, workspace, tmp_path):
+        path = str(tmp_path / "hidden.jsonl")
+        with open(path, "w") as fh:
+            for line in open(workspace["unlabeled"]):
+                row = json.loads(line)
+                fh.write(json.dumps({"id": row["id"], "text": row["text"]}) + "\n")
+        return path
+
+    def test_ensemble(self, workspace, hidden, capsys):
+        code = run("ensemble", "--labeled", workspace["labeled"], "--unlabeled", hidden,
+                   "--outlier-source", workspace["source"],
+                   "--config", workspace["config"], "--out", workspace["out"])
+        assert code == 0
+        report = json.load(open(os.path.join(workspace["out"], "report.json")))
+        assert report["consensus_test_scores"] is None
+        assert report["base_test_scores"] is None
+        count = report["consensus_cluster_count"]
+        assert capsys.readouterr().out == f"{count} consensus clusters\n"
+        assert sorted(os.listdir(workspace["out"])) == ["manifest.json", "partition.jsonl",
+                                                        "report.json"]
+
+    def test_baseline_kmeans(self, workspace, hidden, capsys):
+        code = run("baseline-kmeans", "--labeled", workspace["labeled"], "--unlabeled", hidden,
+                   "--config", workspace["config"], "--out", workspace["out"])
+        assert code == 0
+        rows = [json.loads(x) for x in open(os.path.join(workspace["out"], "partition.jsonl"))]
+        count = len({r["cluster"] for r in rows} - {-1})
+        assert capsys.readouterr().out == f"{count} clusters over {len(rows)} samples\n"
+        assert sorted(os.listdir(workspace["out"])) == ["manifest.json", "partition.jsonl"]
 
 
 class TestSweepCommands:

@@ -530,6 +530,14 @@ class TestRunConsensus:
             part, _ = run_consensus(name, ts, seed=0)
             assert part.ids == ts.ids
 
+    @pytest.mark.parametrize("fn", [
+        lambda ts: run_consensus("CHM", ts)[0], lambda ts: run_consensus("BOK", ts)[0],
+        lambda ts: run_consensus("BOKV", ts)[0], cspa, hgpa, mcla,
+    ], ids=["CHM", "BOK", "BOKV", "CSPA", "HGPA", "MCLA"])
+    def test_empty_set_gives_empty_partition(self, fn):
+        part = fn(TS([[], [], []], recalls=[0.5, 0.6, 0.7]))
+        assert part.n == 0 and part.ids == [] and part.labels.dtype == np.int64
+
 
 class TestAverageLinkage:
     def test_two_clean_blocks(self):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ddce.corpus import (
+    IntentDisjointSplit,
     LabeledDataset,
     UnlabeledDataset,
     Utterance,
@@ -93,6 +94,10 @@ class TestSplitByIntents:
         split = split_by_intents(d, 0.95, seeded())
         assert len(split.rl.intents) >= 1
 
+    def test_sides_sharing_an_intent_rejected(self):
+        with pytest.raises(DdceError, match=r"split sides share intents: \['b'\]"):
+            IntentDisjointSplit(rl=make_labeled({"a": 2, "b": 2}), hs=make_labeled({"b": 2}))
+
 
 class TestInnerSplit:
     def test_fraction_per_intent(self):
@@ -124,6 +129,11 @@ class TestInnerSplit:
         d = inject_outliers(make_labeled({"a": 4, "b": 4}), outlier_source(), 0.5, seeded())
         with pytest.raises(DdceError, match="row 'noise-[0-9]+' has no intent"):
             inner_split(d, 0.2, seeded())
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, float("nan")])
+    def test_fraction_outside_open_unit_interval_rejected(self, fraction):
+        with pytest.raises(DdceError, match="holdout_fraction must be in"):
+            inner_split(make_labeled({"a": 4, "b": 4}), fraction, seeded())
 
 
 def outlier_source(n=200, prefix="noise"):
@@ -210,6 +220,11 @@ class TestGenerateSynthetic:
         with pytest.raises(DdceError, match="blob_sigma"):
             generate_synthetic(3, 4, 8, sigma, seeded())
 
+    @pytest.mark.parametrize("sizes", [(0, 4, 8), (3, 0, 8), (3, 4, 0)])
+    def test_size_below_one_rejected(self, sizes):
+        with pytest.raises(DdceError, match="must all be >= 1"):
+            generate_synthetic(*sizes, 0.1, seeded())
+
     def test_byte_identical_given_seed(self):
         d1, o1 = generate_synthetic(4, 5, 8, 0.2, seeded(3))
         d2, o2 = generate_synthetic(4, 5, 8, 0.2, seeded(3))
@@ -240,6 +255,11 @@ class TestCapAndJsonl:
         c1 = cap_per_intent(d, 4, seeded(5))
         c2 = cap_per_intent(d, 4, seeded(5))
         assert [r.id for r in c1.rows] == [r.id for r in c2.rows]
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_rejected(self, cap):
+        with pytest.raises(DdceError, match=f"cap must be >= 1, got {cap}"):
+            cap_per_intent(make_labeled({"a": 3}), cap, seeded())
 
     def test_jsonl_roundtrip(self, tmp_path):
         d = make_labeled({"a": 3, "b": 2})

@@ -313,8 +313,26 @@ class TestEmb1Format:
         sub = m.rows_for_ids(["d", "b"])
         assert sub.row_ids == ["d", "b"]
         assert np.array_equal(sub.data, m.data[[3, 1]])
+        assert not np.shares_memory(sub.data, m.data)
         with pytest.raises(DdceError, match="ids missing from embeddings"):
             m.rows_for_ids(["a", "zz"])
+
+    @pytest.mark.parametrize("data, row_ids, message", [
+        (np.zeros(3), ["a", "b", "c"], "must be 2-D"),
+        (np.zeros((2, 3)), ["a"], "2 rows but 1 ids"),
+        (np.array([[0.0, np.nan]]), ["a"], "non-finite"),
+        (np.array([[np.inf, 0.0]]), ["a"], "non-finite"),
+    ])
+    def test_invalid_matrix_rejected(self, data, row_ids, message):
+        with pytest.raises(DdceError, match=message):
+            EmbeddingMatrix(data=data, row_ids=row_ids)
+
+    def test_id_beyond_emb1_length_field(self, tmp_path):
+        path = tmp_path / "long.emb1"
+        save_embeddings(EmbeddingMatrix(np.zeros((1, 2)), ["é" * 0x7FFF + "a"]), str(path))
+        assert load_precomputed(str(path)).row_ids == ["é" * 0x7FFF + "a"]
+        with pytest.raises(DdceError, match="id too long for EMB1 format"):
+            save_embeddings(EmbeddingMatrix(np.zeros((1, 2)), ["é" * 0x8000]), str(path))
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170, 1e300])
     def test_normalize_rows_ignores_scale(self, scale):

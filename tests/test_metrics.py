@@ -84,6 +84,19 @@ class TestAri:
         with pytest.raises(DdceError):
             ari_labels(np.array([0]), np.array([0]))
 
+    def test_length_mismatch(self):
+        with pytest.raises(DdceError, match="label arrays differ in length: 3 vs 2"):
+            ari_labels(np.array([0, 1, 1]), np.array([0, 1]))
+
+    @pytest.mark.parametrize("fn", [ari, nmi])
+    @pytest.mark.parametrize("q, message", [
+        (Partition(labels=[0, 1], ids=["a", "b"]), "partition lengths differ: 3 vs 2"),
+        (Partition(labels=[0, 1, 1], ids=["a", "c", "b"]), "partition ids are not aligned"),
+    ])
+    def test_partitions_must_align(self, fn, q, message):
+        with pytest.raises(DdceError, match=message):
+            fn(Partition(labels=[0, 1, 1], ids=["a", "b", "c"]), q)
+
     @given(label_lists, label_lists)
     @settings(max_examples=150, deadline=None)
     def test_matches_pair_counting_oracle(self, a, b):

@@ -659,6 +659,10 @@ class TestFilterSmallClusters:
         p = self.part([0, 1, 2])
         assert np.all(filter_small_clusters(p, 2).labels == -1)
 
+    def test_s_min_below_one_rejected(self):
+        with pytest.raises(DdceError, match="s_min must be >= 1, got 0"):
+            filter_small_clusters(self.part([0, 0]), 0)
+
     def test_idempotent(self):
         rng = np.random.default_rng(3)
         labels = rng.integers(-1, 5, size=50)

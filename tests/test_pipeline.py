@@ -39,7 +39,7 @@ from ddce.search import SearchSpace
 from ddce.util import substream
 
 from conftest import cosine_blobs_with_noise, make_benchmark, make_labeled
-from oracles import ref_kmeans, ref_wilcoxon
+from oracles import ref_kmeans, ref_wilcoxon, ref_wilcoxon_dp
 
 
 def fast_cfg(**overrides) -> PipelineConfig:
@@ -156,6 +156,11 @@ class TestInfer:
         arts = train_base_models(d_l, source, cfg)
         ts = infer(UnlabeledDataset(rows=[]), arts, cfg)
         assert ts.k == 2 and ts.n == 0
+
+    def test_no_artifacts_rejected(self):
+        _, d_ul, _ = make_benchmark()
+        with pytest.raises(DdceError, match="at least one base model artifact"):
+            infer(d_ul, [], fast_cfg())
 
     def test_aligned_partitions(self):
         d_l, d_ul, source = make_benchmark()
@@ -348,6 +353,15 @@ class TestKmeans:
         with pytest.raises(DdceError):
             kmeans_baseline(make_labeled({}), d_ul, fast_cfg())
 
+    def test_empty_unlabeled_gives_empty_partition(self, monkeypatch):
+        def no_train(*args, **kwargs):
+            raise AssertionError("encoder trained for an empty unlabeled set")
+
+        monkeypatch.setattr("ddce.pipeline.train_encoder", no_train)
+        d_l, _, _ = make_benchmark()
+        part = kmeans_baseline(d_l, UnlabeledDataset(rows=[]), fast_cfg())
+        assert part.n == 0 and part.ids == []
+
 
 class TestWilcoxon:
     def test_all_zero_diffs(self):
@@ -370,10 +384,35 @@ class TestWilcoxon:
         rng = np.random.default_rng(seed)
         diffs = (0.25 * rng.integers(-4, 5, size=int(rng.integers(1, 13)))).tolist()
         assert wilcoxon_signed_rank(diffs) == pytest.approx(ref_wilcoxon(diffs), abs=1e-12)
+        assert ref_wilcoxon_dp(diffs) == ref_wilcoxon(diffs)  # the two oracles agree
 
     def test_one_sided_shift_significant(self):
         p = wilcoxon_signed_rank([0.3, 0.5, 0.2, 0.4, 0.6, 0.25, 0.35, 0.45])
         assert p < 0.05
+
+    @pytest.mark.parametrize("diffs", [[float(i) for i in range(1, 31)], [1.0] * 30])
+    def test_thirty_positive_pairs_exact(self, diffs):
+        # Only the all-positive sign vector reaches W+ = max: p = 2 * 2^-30.
+        assert wilcoxon_signed_rank(diffs) == 2.0 ** -29
+
+    def test_two_hundred_positive_pairs_exact(self):
+        # Halving is exact here: the one all-positive sign vector holds 2^-200.
+        assert wilcoxon_signed_rank([float(i) for i in range(1, 201)]) == 2.0 ** -199
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_ties_and_zeros_match_dp_oracle_beyond_25_pairs(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(26, 61))
+        diffs = (0.25 * rng.integers(-6, 9, size=n)).tolist() + [0.0] * int(rng.integers(0, 4))
+        assert 26 <= sum(x != 0.0 for x in diffs) <= 60
+        assert wilcoxon_signed_rank(diffs) == pytest.approx(ref_wilcoxon_dp(diffs), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_scipy_exact_beyond_25_pairs(self, seed):
+        rng = np.random.default_rng(seed)
+        diffs = rng.normal(0.2, 1.0, size=int(rng.integers(26, 61)))
+        expected = scipy.stats.wilcoxon(diffs, alternative="two-sided", method="exact").pvalue
+        assert wilcoxon_signed_rank(diffs.tolist()) == pytest.approx(expected, abs=1e-12)
 
 
 class TestSweeps:
@@ -527,6 +566,13 @@ class TestConfigSerialization:
         ({"search_space": {"n_trials": 0}}, "n_trials"),
         ({"train_cfg": {"feature_dim": 15}}, "feature_dim"),
         ({"search_space": {"min_samples_range": [2, 2**63]}}, "min_samples_range"),
+        ({"search_space": {"min_samples_range": [5, 4]}}, "empty min_samples range"),
+        ({"search_space": {"xi_range": [0.3, 0.3]}}, "empty xi range"),
+        ({"train_cfg": {"learning_rate": 0}}, "learning_rate"),
+        ({"train_cfg": {"hidden_dim": 0}}, "hidden_dim"),
+        ({"k_models": 0}, "k_models"),
+        ({"consensus_fn": "bokv"}, "unknown consensus function 'bokv'"),
+        ({"metric": "manhattan"}, "unknown metric 'manhattan'"),
     ])
     def test_out_of_range_values_rejected(self, obj, key):
         with pytest.raises(DdceError, match=key):
