@@ -89,13 +89,16 @@ def average_linkage_labels(D: np.ndarray, k: int) -> np.ndarray:
     """Agglomerative clustering with average linkage on a precomputed
     distance matrix, cut at k clusters. Merge ties take the smallest
     (row, column) pair; output labels are numbered by first appearance.
+    D must be finite and symmetric.
 
     Each row r caches its minimum ``nd[r]`` and the first column holding
     it, ``nn[r]`` (the nearest-neighbour caching of Müllner 2011, "Modern
     hierarchical, agglomerative clustering algorithms"). The first row
     holding the smallest ``nd`` and its ``nn`` are then exactly the pair
     an argmin over the whole matrix takes, so each merge costs O(n) plus
-    the rows rescanned, not O(n^2).
+    the rows rescanned, not O(n^2). That pair has i < j: by symmetry row j
+    holds ``nd[i]`` in column i, so ``nd[j] <= nd[i]``, while every row
+    before i has a larger minimum.
 
     A merge of i < j rewrites row and column i, fills row and column j
     with inf and leaves every other entry alone. Row i is rescanned. In
@@ -121,8 +124,6 @@ def average_linkage_labels(D: np.ndarray, k: int) -> np.ndarray:
     for _ in range(n - k):
         i = int(nd.argmin())
         j = int(nn[i])
-        if i > j:
-            i, j = j, i
         wi, wj = sizes[i], sizes[j]
         merged = (wi * gd[i] + wj * gd[j]) / (wi + wj)  # inf at i and j
         gd[i, :] = merged

@@ -47,13 +47,12 @@ class OpticsParams:
 
 @dataclass(frozen=True)
 class ReachabilityOrdering:
-    """OPTICS output: a processing order plus per-sample reachability,
-    core distance and predecessor (-1 where undefined)."""
+    """OPTICS output: a processing order plus per-sample reachability and
+    core distance (inf where undefined)."""
 
     order: np.ndarray
     reachability: np.ndarray
     core_distance: np.ndarray
-    predecessor: np.ndarray
     ids: list[str]
 
 
@@ -378,7 +377,6 @@ def compute_ordering(
     lone[reached] = False
 
     reach = np.full(n, np.inf)
-    pred = np.full(n, -1, dtype=int)
     inf = np.inf
     core_list = core.tolist()
     lo_list = starts.tolist()
@@ -412,7 +410,6 @@ def compute_ordering(
                 val = cand[better]
                 open_reach[upd] = val
                 best[upd] = val
-                pred[upd] = current
             # Smallest tentative reachability, ties to the smallest index.
             current = int(open_reach.argmin())
             if open_reach[current] == inf:
@@ -423,10 +420,8 @@ def compute_ordering(
     lone_points = np.flatnonzero(lone)
     keys = np.concatenate([np.repeat(np.array(block_starts, dtype=int), block_sizes), lone_points])
     merged = np.concatenate([np.array(order, dtype=int), lone_points])
-    return ReachabilityOrdering(
-        order=merged[np.argsort(keys, kind="stable")], reachability=reach, core_distance=core,
-        predecessor=pred, ids=list(ids),
-    )
+    return ReachabilityOrdering(order=merged[np.argsort(keys, kind="stable")], reachability=reach,
+                                core_distance=core, ids=list(ids))
 
 
 def _extend_region(steep: list, xward: list, start: int, min_samples: int) -> int:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -611,6 +613,21 @@ class TestAverageLinkageOracle:
         D, _ = linkage_case(seed)
         for k in range(1, len(D) + 2):
             assert average_linkage_labels(D, k).tolist() == ref_average_linkage(D.tolist(), k)
+
+    @pytest.mark.parametrize("n, values", [
+        (2, (0.0, 0.5, 1.0)), (3, (0.0, 0.5, 1.0)), (4, (0.0, 0.5, 1.0)), (5, (0.5, 1.0)),
+    ], ids=["n2", "n3", "n4", "n5"])
+    def test_every_small_tied_matrix(self, n, values):
+        """Every finite symmetric matrix of size n with off-diagonal entries
+        drawn from ``values``, cut at every k from 1 to n. Averages of these
+        values land on each other, so merge ties arise at every step."""
+        upper = np.triu_indices(n, 1)
+        for entries in itertools.product(values, repeat=len(upper[0])):
+            D = np.zeros((n, n))
+            D[upper] = entries
+            D = D + D.T
+            for k in range(1, n + 1):
+                assert average_linkage_labels(D, k).tolist() == ref_average_linkage(D.tolist(), k)
 
     def test_battery_covers_small_and_large_cuts(self):
         cases = [linkage_case(seed) for seed in range(120)]

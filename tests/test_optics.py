@@ -45,15 +45,63 @@ def assert_matches_reference(data, params, metric):
     2·max_eps and infinity equals the reference bit for bit; returns the
     result."""
     data = np.asarray(data, dtype=float)
-    order, reach, core, pred = ref_optics(data, params.max_eps, params.min_samples, metric)
+    order, reach, core, _ = ref_optics(data, params.max_eps, params.min_samples, metric)
     ids = [f"p{i}" for i in range(len(data))]
     for radius in (params.max_eps, 2 * params.max_eps, np.inf):
         got = compute_ordering(pairwise_distances(data, metric, radius), ids, params)
         assert got.order.tolist() == order
         assert got.reachability.tolist() == reach
         assert got.core_distance.tolist() == core
-        assert got.predecessor.tolist() == pred
     return got
+
+
+def assert_reachability_witnessed(data, ordering, max_eps, metric):
+    """The OPTICS definition, read off the ordering's own output: each
+    point's reachability is the smallest max(core[p], d(p, i)) over the
+    points p before it in the order that have a core distance and lie
+    within max_eps, or inf when there is none."""
+    data = np.asarray(data, dtype=float)
+    order, core = ordering.order.tolist(), ordering.core_distance.tolist()
+    for at, i in enumerate(order):
+        witnesses = [max(core[p], d) for p in order[:at]
+                     if core[p] != np.inf and (d := _pair_distance(data, p, i, metric)) <= max_eps]
+        assert ordering.reachability[i] == min(witnesses, default=np.inf)
+
+
+def compute_battery_case(seed):
+    """TestComputeOrdering's reference battery input: data, params, metric."""
+    rng = np.random.default_rng(1000 + seed)
+    n = int(rng.integers(5, 61))
+    dim = int(rng.integers(1, 5))
+    data = rng.normal(size=(n, dim))
+    if seed % 3 == 0:
+        # duplicated rows exercise exact-tie handling
+        data[: n // 3] = data[0]
+    metric = "euclidean" if seed % 2 == 0 else "cosine"
+    params = OpticsParams(
+        max_eps=float(rng.uniform(0.2, 3.0)),
+        xi=0.05,
+        min_samples=int(rng.integers(2, 8)),
+    )
+    return data, params, metric
+
+
+def distances_battery_case(seed):
+    """TestOrderingFromDistances' reference battery input: data, params, metric."""
+    rng = np.random.default_rng(5000 + seed)
+    n = int(rng.integers(2, 71))
+    data = rng.normal(size=(n, int(rng.integers(1, 5))))
+    if seed % 4 == 0:
+        data = np.round(data, 1)  # coarse grid: many tied distances
+    if seed % 4 == 1:
+        data[rng.integers(0, n, size=n // 2)] = data[0]  # duplicate points
+    metric = ("euclidean", "cosine")[seed % 2]
+    params = OpticsParams(
+        max_eps=float(rng.uniform(0.05, 3.0)),
+        xi=0.05,
+        min_samples=int(rng.integers(2, 25)),
+    )
+    return data, params, metric
 
 
 def dense_distances(data, metric):
@@ -351,20 +399,7 @@ class TestComputeOrdering:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_reference_battery(self, seed):
-        rng = np.random.default_rng(1000 + seed)
-        n = int(rng.integers(5, 61))
-        dim = int(rng.integers(1, 5))
-        data = rng.normal(size=(n, dim))
-        if seed % 3 == 0:
-            # duplicated rows exercise exact-tie handling
-            data[: n // 3] = data[0]
-        metric = "euclidean" if seed % 2 == 0 else "cosine"
-        params = OpticsParams(
-            max_eps=float(rng.uniform(0.2, 3.0)),
-            xi=0.05,
-            min_samples=int(rng.integers(2, 8)),
-        )
-        assert_matches_reference(data, params, metric)
+        assert_matches_reference(*compute_battery_case(seed))
 
     def test_empty_input(self):
         got = ordering_of(np.empty((0, 3)), OpticsParams(1.0, 0.1, 2))
@@ -372,16 +407,12 @@ class TestComputeOrdering:
         part = extract_xi_clusters(got, 0.1, 2)
         assert part.labels.dtype == np.int64 and part.labels.size == 0
 
-    def test_reachability_consistent_with_predecessor(self):
-        data = np.random.default_rng(5).normal(size=(40, 3))
-        params = OpticsParams(2.0, 0.05, 4)
-        got = ordering_of(data, params, "euclidean")
-        for i in range(40):
-            p = got.predecessor[i]
-            if p == -1:
-                continue
-            d = _pair_distance(data, p, i, "euclidean")
-            assert got.reachability[i] == max(got.core_distance[p], d)
+    def test_reachability_witnessed(self):
+        cases = [compute_battery_case(seed) for seed in range(20)]
+        cases += [distances_battery_case(seed) for seed in range(40)]
+        for data, params, metric in cases:
+            got = ordering_of(data, params, metric)
+            assert_reachability_witnessed(data, got, params.max_eps, metric)
 
     def test_core_distances_permutation_equivariant(self):
         rng = np.random.default_rng(8)
@@ -409,20 +440,7 @@ class TestComputeOrdering:
 class TestOrderingFromDistances:
     @pytest.mark.parametrize("seed", range(40))
     def test_reference_battery(self, seed):
-        rng = np.random.default_rng(5000 + seed)
-        n = int(rng.integers(2, 71))
-        data = rng.normal(size=(n, int(rng.integers(1, 5))))
-        if seed % 4 == 0:
-            data = np.round(data, 1)  # coarse grid: many tied distances
-        if seed % 4 == 1:
-            data[rng.integers(0, n, size=n // 2)] = data[0]  # duplicate points
-        metric = ("euclidean", "cosine")[seed % 2]
-        params = OpticsParams(
-            max_eps=float(rng.uniform(0.05, 3.0)),
-            xi=0.05,
-            min_samples=int(rng.integers(2, 25)),
-        )
-        assert_matches_reference(data, params, metric)
+        assert_matches_reference(*distances_battery_case(seed))
 
     @pytest.mark.parametrize("seed", range(30))
     def test_sparse_core_battery(self, seed):
@@ -437,6 +455,7 @@ class TestOrderingFromDistances:
         kth = np.sort(dense_distances(data, metric), axis=1)[:, k - 1]
         max_eps = float(np.quantile(kth, rng.uniform(0.2, 0.45)))
         got = assert_matches_reference(data, OpticsParams(max_eps, 0.05, k), metric)
+        assert_reachability_witnessed(data, got, max_eps, metric)
         coreless = np.isinf(got.core_distance)
         assert coreless.mean() > 0.5
         assert np.isfinite(got.reachability[coreless]).any()
@@ -449,14 +468,15 @@ class TestOrderingFromDistances:
         data = np.random.default_rng(1).normal(size=(8, 2))
         got = assert_matches_reference(data, params, "euclidean")
         assert got.order.tolist() == list(range(8))
-        assert np.all(np.isinf(got.core_distance)) and np.all(got.predecessor == -1)
+        assert np.all(np.isinf(got.core_distance)) and np.all(np.isinf(got.reachability))
 
     def test_exactly_one_finite_core(self):
         data = [[0.0], [1.0], [2.0], [10.0], [20.0], [30.0]]
         got = assert_matches_reference(data, OpticsParams(1.5, 0.05, 3), "euclidean")
         assert np.isfinite(got.core_distance).tolist() == [False, True, False, False, False, False]
         assert got.order.tolist() == [0, 1, 2, 3, 4, 5]
-        assert got.predecessor.tolist() == [-1, -1, 1, -1, -1, -1]
+        # Only point 2 is reached, from the core point 1 at distance 1.0.
+        assert got.reachability.tolist() == [np.inf, np.inf, 1.0, np.inf, np.inf, np.inf]
 
     def test_frontier_empties_between_expansions(self):
         # Two tight groups farther apart than max_eps, with isolated points
@@ -464,8 +484,12 @@ class TestOrderingFromDistances:
         # group and the next expansion starts from the smallest open index.
         data = [[50.0], [0.0], [0.1], [0.2], [70.0], [5.0], [5.1], [5.2], [90.0]]
         got = assert_matches_reference(data, OpticsParams(0.5, 0.05, 2), "euclidean")
+        assert_reachability_witnessed(data, got, 0.5, "euclidean")
         assert got.order.tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 8]
-        assert got.predecessor.tolist() == [-1, -1, 1, 2, -1, -1, 5, 6, -1]
+        # Each group's start is unreached and its other two points are
+        # reached; the isolated points are not.
+        reached = np.isfinite(got.reachability).tolist()
+        assert reached == [False, False, True, True, False, False, True, True, False]
 
     def test_tied_duplicates_break_by_smallest_index(self):
         data = [[1.0, 1.0]] * 3 + [[0.0, 0.0]] * 3 + [[1.0, 1.0]] * 2
@@ -490,7 +514,6 @@ class TestXiExtraction:
             order=np.arange(n),
             reachability=np.full(n, 0.25),
             core_distance=np.full(n, 0.25),
-            predecessor=np.full(n, -1),
             ids=[f"p{i}" for i in range(n)],
         )
         part = extract_xi_clusters(ordering, 0.1, 2)
@@ -591,7 +614,7 @@ class TestXiOracle:
             reach[order] = r
             ordering = ReachabilityOrdering(
                 order=order, reachability=reach, core_distance=np.full(n, np.inf),
-                predecessor=np.full(n, -1), ids=[f"p{i}" for i in range(n)],
+                ids=[f"p{i}" for i in range(n)],
             )
             assert_xi_matches_reference(ordering, xi, min_samples)
 

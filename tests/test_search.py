@@ -5,7 +5,14 @@ from ddce import metrics, optics
 from ddce.corpus import generate_synthetic, inject_outliers
 from ddce.embed import EmbeddingMatrix
 from ddce.errors import DdceError
-from ddce.search import SearchSpace, random_search, sample_params, save_trial_log, trials_to_csv
+from ddce.search import (
+    SearchSpace,
+    _open_uniform,
+    random_search,
+    sample_params,
+    save_trial_log,
+    trials_to_csv,
+)
 from ddce.util import substream
 
 
@@ -34,6 +41,20 @@ class TestSampleParams:
         assert 2 <= sample_params(space, substream(0, "trial", 0)).min_samples < 2**63
         with pytest.raises(DdceError, match="min_samples_range"):
             SearchSpace(min_samples_range=(2, 2**63))
+
+    def test_lower_endpoint_redrawn(self):
+        # rng.uniform can return lo itself; the open interval excludes it.
+        class Stub:
+            def __init__(self):
+                self.draws = []
+
+            def uniform(self, lo, hi):
+                self.draws.append((lo, hi))
+                return lo if len(self.draws) == 1 else (lo + hi) / 2
+
+        stub = Stub()
+        assert _open_uniform(stub, 0.1, 0.3) == 0.2
+        assert stub.draws == [(0.1, 0.3), (0.1, 0.3)]
 
     def test_invalid_space_rejected(self):
         with pytest.raises(DdceError):
