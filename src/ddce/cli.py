@@ -109,8 +109,8 @@ def _cmd_train(args) -> int:
     artifacts = pipeline.train_base_models(d_l, source, cfg, embeddings=matrix)
     payload = {
         "tool_version": __version__,
-        "config": pipeline.config_to_dict(cfg),
-        "models": [pipeline.artifact_to_dict(a) for a in artifacts],
+        "config": pipeline.to_dict(cfg),
+        "models": [pipeline.to_dict(a) for a in artifacts],
     }
     atomic_write_text(os.path.join(args.out, "artifacts.json"), _json_dumps(payload))
     recalls = [round(a.val_scores.score_c, 4) for a in artifacts]

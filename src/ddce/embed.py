@@ -71,8 +71,9 @@ def normalize_rows(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def featurize(texts: list[str], feature_dim: int, ids: list[str] | None = None) -> EmbeddingMatrix:
-    """Hashed bag-of-tokens with TF-IDF weighting, rows L2-normalized.
+def featurize(texts: list[str], feature_dim: int) -> np.ndarray:
+    """Hashed bag-of-tokens with TF-IDF weighting, one L2-normalized row
+    per text.
 
     Tokens are whitespace-split. IDF is fitted on the input collection,
     smoothed as ln((1 + n) / (1 + df)) + 1. Buckets are the 64-bit FNV-1a
@@ -96,9 +97,7 @@ def featurize(texts: list[str], feature_dim: int, ids: list[str] | None = None) 
             counts[tok] = counts.get(tok, 0) + 1
         for tok, c in counts.items():
             X[i, bucket[tok]] += c * idf[tok]
-    if ids is None:
-        ids = [str(i) for i in range(n)]
-    return EmbeddingMatrix(data=normalize_rows(X), row_ids=list(ids))
+    return normalize_rows(X)
 
 
 @dataclass
@@ -193,9 +192,9 @@ def train_encoder(
     missing = [lab for lab in val.intents if lab not in label_index]
     if missing:
         raise DdceError(f"validation intents absent from training set: {missing}")
-    X_train = featurize(train.texts(), cfg.feature_dim).data
+    X_train = featurize(train.texts(), cfg.feature_dim)
     y_train = np.array([label_index[r.intent] for r in train.rows], dtype=int)
-    X_val = featurize(val.texts(), cfg.feature_dim).data
+    X_val = featurize(val.texts(), cfg.feature_dim)
     y_val = np.array([label_index[r.intent] for r in val.rows], dtype=int)
 
     rng = np.random.default_rng(seed)
@@ -242,11 +241,11 @@ def train_encoder(
     return model, best_acc
 
 
-def encode(model: EncoderModel, texts: list[str], ids: list[str] | None = None) -> EmbeddingMatrix:
-    """Hidden-layer representation tanh(W·x + b) per text, L2-normalized."""
-    feats = featurize(texts, model.feature_dim, ids=ids)
-    hidden = np.tanh(feats.data @ model.W + model.b)
-    return EmbeddingMatrix(data=normalize_rows(hidden), row_ids=feats.row_ids)
+def encode(model: EncoderModel, texts: list[str], ids: list[str]) -> EmbeddingMatrix:
+    """Hidden-layer representation tanh(W·x + b) per text, L2-normalized,
+    with ``ids[i]`` naming the row of ``texts[i]``."""
+    hidden = np.tanh(featurize(texts, model.feature_dim) @ model.W + model.b)
+    return EmbeddingMatrix(data=normalize_rows(hidden), row_ids=list(ids))
 
 
 def save_embeddings(m: EmbeddingMatrix, path: str) -> None:

@@ -90,7 +90,8 @@ def kmeans_baseline(
 
 def _require_ground_truth(*datasets: UnlabeledDataset) -> None:
     if not all(metrics.has_ground_truth(d) for d in datasets):
-        raise DdceError("sweeps need ground truth on the unlabeled set")
+        raise DdceError("sweeps need ground truth on the unlabeled set: at least 2 rows, "
+                        "each with an intent or an outlier flag")
 
 
 def _run_scores(

@@ -11,7 +11,7 @@ is the harmonic mean of non-outlier recall and ARI clamped at zero.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from math import comb, log, sqrt
 
 import numpy as np
@@ -122,17 +122,17 @@ def nonoutlier_recall(truth_outlier_flags: np.ndarray | list[bool], pred: Partit
 
 @dataclass(frozen=True)
 class Scores:
+    """Non-outlier recall, ARI, and ``score``, their :func:`harmonic_score`."""
+
     score_c: float
     score_ari: float
-    score: float
+    score: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "score", harmonic_score(self.score_c, self.score_ari))
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))
-
-    @staticmethod
-    def from_parts(score_c: float, score_ari: float) -> "Scores":
-        return Scores(score_c=score_c, score_ari=score_ari,
-                      score=harmonic_score(score_c, score_ari))
 
 
 def harmonic_score(score_c: float, score_ari: float) -> float:
@@ -190,4 +190,4 @@ def score_against(truth_labels: np.ndarray, pred: Partition) -> Scores:
     partitions of the same rows builds it once."""
     score_c = nonoutlier_recall(truth_labels == OUTLIER_TRUTH_LABEL, pred)
     score_ari = ari_labels(truth_labels, pred.labels)
-    return Scores.from_parts(score_c, score_ari)
+    return Scores(score_c, score_ari)

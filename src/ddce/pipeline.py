@@ -6,6 +6,7 @@ only and writes configs, the trained base models and the run report."""
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import get_args, get_origin, get_type_hints
@@ -209,13 +210,13 @@ def run_ddce(
     )
 
 
-def _to_json(value):
+def to_dict(value):
     """JSON-ready form of a dataclass tree: dataclasses become objects in
     field order, tuples and lists become lists, arrays go through tolist()."""
     if is_dataclass(value):
-        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+        return {f.name: to_dict(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, (tuple, list)):
-        return [_to_json(v) for v in value]
+        return [to_dict(v) for v in value]
     if isinstance(value, np.ndarray):
         return value.tolist()
     return value
@@ -238,8 +239,9 @@ def _from_json(cls, obj, where: str, prefix: str = ""):
 
 _JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string",
                list: "array", dict: "object", type(None): "null"}
-# bool is an int subclass and is checked apart. A JSON int is a valid float
-# and passes through unchanged, so a re-serialized config keeps its bytes.
+# bool is an int subclass and is checked apart. A JSON int that a float can
+# hold is a valid float and passes through unchanged, so a re-serialized
+# config keeps its bytes.
 _SCALARS = {int: (int,), float: (int, float), str: (str,)}
 
 
@@ -261,11 +263,9 @@ def _value_from_json(hint, value, path: str):
                      for i, (hint_i, v) in enumerate(zip(args, value)))
     if isinstance(value, bool) or not isinstance(value, _SCALARS[hint]):
         raise DdceError(f"{path}: expected {_JSON_TYPES[hint]}, got {_json_type(value)}")
+    if hint is float and isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise DdceError(f"{path}: integer beyond the largest float")
     return value
-
-
-def config_to_dict(cfg: PipelineConfig) -> dict:
-    return _to_json(cfg)
 
 
 def config_from_dict(obj) -> PipelineConfig:
@@ -274,24 +274,20 @@ def config_from_dict(obj) -> PipelineConfig:
     return _from_json(PipelineConfig, obj, "config")
 
 
-def artifact_to_dict(art: BaseModelArtifact) -> dict:
-    return _to_json(art)
-
-
 def report_to_dict(report: RunReport, cfg: PipelineConfig) -> dict:
     """Deterministic report payload; wall-clock timing is deliberately left
     out so reruns with the same seed serialize byte-identically. Base models
     are reported without their encoder weights."""
     base_models = []
     for art, part in zip(report.artifacts, report.base_partitions.partitions):
-        entry = _to_json(replace(art, encoder=None))
+        entry = to_dict(replace(art, encoder=None))
         del entry["encoder"]
         base_models.append({**entry, "cluster_count": part.cluster_count()})
     return {
-        "config": config_to_dict(cfg),
+        "config": to_dict(cfg),
         "base_models": base_models,
         "consensus": report.consensus_details,
         "consensus_cluster_count": report.consensus_partition.cluster_count(),
-        "base_test_scores": _to_json(report.base_test_scores),
-        "consensus_test_scores": _to_json(report.consensus_test_scores),
+        "base_test_scores": to_dict(report.base_test_scores),
+        "consensus_test_scores": to_dict(report.consensus_test_scores),
     }

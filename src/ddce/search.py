@@ -21,10 +21,10 @@ class SearchSpace:
     n_trials: int = 100
 
     def __post_init__(self):
-        if not self.max_eps_range[0] < self.max_eps_range[1]:
-            raise DdceError(f"empty max_eps range {self.max_eps_range}")
-        if not self.xi_range[0] < self.xi_range[1]:
-            raise DdceError(f"empty xi range {self.xi_range}")
+        if not np.nextafter(*self.max_eps_range) < self.max_eps_range[1]:
+            raise DdceError(f"empty max_eps range {self.max_eps_range}: no float strictly inside")
+        if not np.nextafter(*self.xi_range) < self.xi_range[1]:
+            raise DdceError(f"empty xi range {self.xi_range}: no float strictly inside")
         if not (self.max_eps_range[0] >= 0.0 and self.max_eps_range[1] < np.inf):
             raise DdceError(f"max_eps_range must be finite and >= 0, got {self.max_eps_range}")
         if not (self.xi_range[0] >= 0.0 and self.xi_range[1] <= 1.0):
@@ -54,10 +54,10 @@ class SearchResult:
 
 
 def _open_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
-    # rng.uniform samples the half-open [lo, hi); reject the endpoint so the
-    # result lies strictly inside the open interval.
+    # rng.uniform samples [lo, hi) but can round up to hi; reject both
+    # endpoints so the result lies strictly inside the open interval.
     value = rng.uniform(lo, hi)
-    while value <= lo:
+    while not lo < value < hi:
         value = rng.uniform(lo, hi)
     return float(value)
 

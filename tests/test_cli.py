@@ -50,6 +50,23 @@ def workspace(tmp_path):
     return paths
 
 
+@pytest.fixture
+def files(workspace, tmp_path):
+    """The workspace plus an EMB1 file with a vector for every row, and
+    a small config whose master_seed is 9."""
+    rows = [json.loads(line) for name in ("labeled", "unlabeled", "source")
+            for line in open(workspace[name])]
+    texts = {r["id"]: r["text"] for r in rows}  # injected rows repeat source rows
+    vectors = EmbeddingMatrix(featurize(list(texts.values()), 16), list(texts))
+    files = {**workspace, "emb": str(tmp_path / "all.emb1"),
+             "small": str(tmp_path / "small.json")}
+    save_embeddings(vectors, files["emb"])
+    with open(files["small"], "w") as fh:
+        json.dump({"k_models": 2, "search_space": {"n_trials": 3},
+                   "train_cfg": {"epochs": 2}, "master_seed": 9}, fh)
+    return files
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self):
         assert run("frobnicate") == 1
@@ -116,22 +133,6 @@ class TestSynthInjectEvaluate:
 class TestManifest:
     """manifest.json names each command's input files, in flag order, the
     seed it ran with, and the values of its other flags."""
-
-    @pytest.fixture
-    def files(self, workspace, tmp_path):
-        """The workspace plus an EMB1 file with a vector for every row, and
-        a small config whose master_seed is 9."""
-        rows = [json.loads(line) for name in ("labeled", "unlabeled", "source")
-                for line in open(workspace[name])]
-        texts = {r["id"]: r["text"] for r in rows}  # injected rows repeat source rows
-        vectors = featurize(list(texts.values()), 16, ids=list(texts))
-        files = {**workspace, "emb": str(tmp_path / "all.emb1"),
-                 "small": str(tmp_path / "small.json")}
-        save_embeddings(vectors, files["emb"])
-        with open(files["small"], "w") as fh:
-            json.dump({"k_models": 2, "search_space": {"n_trials": 3},
-                       "train_cfg": {"epochs": 2}, "master_seed": 9}, fh)
-        return files
 
     @pytest.mark.parametrize("command, flags, inputs, seed", [
         ("inject", ["--data", "unlabeled", "--source", "source", "--ratio", "0.5"],
@@ -275,6 +276,19 @@ class TestEnsembleCommand:
         holds those NMI floats and is not pinned."""
         digest = bench_partition_sha256("ensemble-emb-chm", tmp_path, monkeypatch)
         assert digest == "55fa2839f65967144d09cfc4d5763fe861bbb5e411937ce8e0135ee8d062fa77"
+
+    def test_xi_range_next_to_one(self, workspace, tmp_path):
+        """The only float strictly inside the xi range is 1 - 2**-53, and
+        uniform draws on it round up to 1.0 about a third of the time;
+        every trial's xi is redrawn into the open interval."""
+        config = str(tmp_path / "xi.json")
+        with open(config, "w") as fh:
+            json.dump({"k_models": 2, "search_space": {
+                "n_trials": 20, "xi_range": [0.9999999999999998, 1.0]}}, fh)
+        assert run("ensemble", "--labeled", workspace["labeled"],
+                   "--unlabeled", workspace["unlabeled"],
+                   "--outlier-source", workspace["source"],
+                   "--config", config, "--out", workspace["out"]) == 0
 
     def test_ensemble_writes_outputs(self, workspace, capsys):
         code = run("ensemble", "--labeled", workspace["labeled"],
@@ -666,6 +680,18 @@ class TestMalformedInputs:
         assert sorted(os.listdir(out)) == ["manifest.json", "partition.jsonl"]
         assert os.listdir(out / "partition.jsonl") == []
 
+    def test_sweep_on_one_row(self, workspace, tmp_path, capsys):
+        """One unlabeled row with an intent is too few for ARI; the message
+        names both conditions of ground truth."""
+        one = str(tmp_path / "one.jsonl")
+        with open(workspace["unlabeled"]) as src, open(one, "w") as fh:
+            fh.write(next(line for line in src if json.loads(line).get("intent")))
+        code = run("sweep-alpha", "--labeled", workspace["labeled"], "--unlabeled", one,
+                   "--outlier-source", workspace["source"], "--alphas", "0.5", "--reps", "1",
+                   "--config", workspace["config"], "--out", str(tmp_path / "x"))
+        err = self._assert_one_error(code, capsys)
+        assert "at least 2 rows, each with an intent or an outlier flag" in err
+
     @staticmethod
     def _assert_one_error(code, capsys):
         err = capsys.readouterr().err.splitlines()
@@ -684,6 +710,20 @@ class TestTrainAndBaseline:
         payload = json.load(open(os.path.join(workspace["out"], "artifacts.json")))
         assert len(payload["models"]) == 2
         assert payload["models"][0]["encoder"]["W"]
+
+    def test_train_on_emb1_artifacts_bytes(self, files):
+        """``train --embeddings`` output is pinned byte for byte, the config
+        and the models' searched parameters and validation scores as the
+        codec writes them. No encoder is trained and no NMI is taken: the
+        search scores with recall and ARI on distances evaluated
+        elementwise. The fixture's vectors take their idf weights from
+        np.log and are rounded to float32 in the EMB1 file."""
+        assert run("train", "--labeled", files["labeled"], "--outlier-source", files["source"],
+                   "--embeddings", files["emb"], "--config", files["small"],
+                   "--out", files["out"]) == 0
+        with open(os.path.join(files["out"], "artifacts.json"), "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert digest == "c96a1b9d440fae902d5d384e16171cb7b507b99c1a4e2cf7af3ffff8f09df6db"
 
     def test_baseline_kmeans(self, workspace, capsys):
         code = run("baseline-kmeans", "--labeled", workspace["labeled"],

@@ -24,21 +24,21 @@ from oracles import finite_difference_grads, ref_featurize
 class TestFeaturize:
     def test_identical_texts_identical_rows(self):
         m = featurize(["hello world", "hello world", "bye"], 32)
-        assert np.array_equal(m.data[0], m.data[1])
-        assert not np.array_equal(m.data[0], m.data[2])
+        assert np.array_equal(m[0], m[1])
+        assert not np.array_equal(m[0], m[2])
 
     def test_empty_text_gives_zero_row(self):
         m = featurize(["", "token"], 32)
-        assert np.all(m.data[0] == 0.0)
-        assert np.linalg.norm(m.data[1]) == pytest.approx(1.0)
+        assert np.all(m[0] == 0.0)
+        assert np.linalg.norm(m[1]) == pytest.approx(1.0)
 
     def test_scale_invariance_single_token(self):
         m = featurize(["tok", "tok tok"], 32)
-        assert np.allclose(m.data[0], m.data[1])
+        assert np.allclose(m[0], m[1])
 
     def test_rows_l2_normalized(self):
         m = featurize(["a b c", "d e", "a a a"], 64)
-        norms = np.linalg.norm(m.data, axis=1)
+        norms = np.linalg.norm(m, axis=1)
         assert np.allclose(norms, 1.0)
 
     def test_min_dim_enforced(self):
@@ -46,8 +46,8 @@ class TestFeaturize:
             featurize(["x"], 8)
 
     def test_stable_across_calls(self):
-        a = featurize(["alpha beta", "gamma"], 32).data
-        b = featurize(["alpha beta", "gamma"], 32).data
+        a = featurize(["alpha beta", "gamma"], 32)
+        b = featurize(["alpha beta", "gamma"], 32)
         assert np.array_equal(a, b)
 
 
@@ -71,7 +71,7 @@ class TestFeaturizeOracle:
     @pytest.mark.parametrize("seed", range(60))
     def test_matches_reference(self, seed):
         texts, feature_dim = featurize_case(seed)
-        got = featurize(texts, feature_dim).data
+        got = featurize(texts, feature_dim)
         want = np.array(ref_featurize(texts, feature_dim))
         assert got.shape == want.shape == (len(texts), feature_dim)
         assert np.abs(got - want).max() <= 1e-12
@@ -133,7 +133,7 @@ class TestTrainEncoder:
         train, val = self._synthetic_split()
         cfg = TrainConfig(epochs=0, feature_dim=64, hidden_dim=16)
         model, acc = train_encoder(train, val, cfg, 5)
-        X_val = featurize(val.texts(), 64).data
+        X_val = featurize(val.texts(), 64)
         y_val = np.array([sorted(train.intents).index(r.intent) for r in val.rows])
         logits = np.tanh(X_val @ model.W + model.b) @ model.U + model.c
         assert float(np.mean(np.argmax(logits, axis=1) == y_val)) == acc
@@ -192,13 +192,13 @@ class TestEncode:
     def test_identical_texts_identical_embeddings(self):
         train, val = TestTrainEncoder._synthetic_split()
         model, _ = train_encoder(train, val, TrainConfig(epochs=2, feature_dim=64, hidden_dim=16), 0)
-        m = encode(model, ["same text", "same text", "different"])
+        m = encode(model, ["same text", "same text", "different"], ids=["a", "b", "c"])
         assert np.array_equal(m.data[0], m.data[1])
 
     def test_output_dim_is_hidden_dim(self):
         train, val = TestTrainEncoder._synthetic_split()
         model, _ = train_encoder(train, val, TrainConfig(epochs=1, feature_dim=64, hidden_dim=16), 0)
-        assert encode(model, ["a", "b c", "d"]).d == 16
+        assert encode(model, ["a", "b c", "d"], ids=["a", "b", "c"]).d == 16
 
     def test_within_intent_cosine_exceeds_cross(self):
         d, _ = generate_synthetic(2, 20, 8, 0.05, np.random.default_rng(1))
@@ -218,8 +218,8 @@ class TestEncode:
         train, val = TestTrainEncoder._synthetic_split()
         model, _ = train_encoder(train, val, TrainConfig(epochs=1, feature_dim=64, hidden_dim=16), 0)
         texts = ["one two", "three", "four five six"]
-        fwd = encode(model, texts).data
-        rev = encode(model, texts[::-1]).data
+        fwd = encode(model, texts, ids=texts).data
+        rev = encode(model, texts[::-1], ids=texts[::-1]).data
         assert np.array_equal(fwd, rev[::-1])
 
 

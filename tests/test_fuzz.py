@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from ddce.cli import main
 from ddce.embed import EmbeddingMatrix, save_embeddings
 from ddce.errors import DdceError
-from ddce.pipeline import PipelineConfig, config_from_dict, config_to_dict
+from ddce.pipeline import PipelineConfig, config_from_dict, to_dict
 
 FUZZ = settings(max_examples=50, derandomize=True, deadline=None)
 
@@ -133,7 +133,7 @@ def _paths(obj, prefix=()):
 def mutated_config(draw):
     """The default config object with one to three nodes replaced by any
     JSON value, deleted, or given an extra key or element."""
-    obj = config_to_dict(PipelineConfig())
+    obj = to_dict(PipelineConfig())
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(_paths(obj))))
         kind = draw(st.sampled_from(["set", "delete", "add"]))

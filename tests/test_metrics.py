@@ -178,8 +178,13 @@ class TestScore:
         assert s.score_c == 1.0
 
     def test_roundtrip_json(self):
-        s = Scores.from_parts(0.5, 0.25)
-        assert '"score_c": 0.5' in s.to_json()
+        s = Scores(0.5, 0.25)
+        assert s.to_json() == '{"score_c": 0.5, "score_ari": 0.25, "score": 0.3333333333333333}'
+
+    def test_score_is_derived_not_given(self):
+        assert Scores(0.5, -0.25).score == 0.0
+        with pytest.raises(TypeError):
+            Scores(score_c=0.5, score_ari=0.5, score=1.0)
 
 
 class TestScoresAgainstLabeledGroundTruth:

@@ -26,13 +26,12 @@ from ddce.optics import OpticsParams
 from ddce.pipeline import (
     BaseModelArtifact,
     PipelineConfig,
-    artifact_to_dict,
     config_from_dict,
-    config_to_dict,
     infer,
     report_to_dict,
     run_ddce,
     split_and_train,
+    to_dict,
     train_base_models,
 )
 from ddce.search import SearchSpace
@@ -187,7 +186,7 @@ class TestInfer:
         ids = [f"u{i}" for i in range(len(pts))]
         embeddings = EmbeddingMatrix(data=pts, row_ids=ids)
         d_ul = UnlabeledDataset(rows=[Utterance(id=i, text="t") for i in reversed(ids)])
-        scores = Scores(score_c=0.5, score_ari=0.5, score=0.5)
+        scores = Scores(score_c=0.5, score_ari=0.5)
         arts = [BaseModelArtifact(split_seed=k, params=OpticsParams(eps, 0.05, 5), val_scores=scores)
                 for k, eps in enumerate((0.2, 0.35, 0.1))]
         cfg = fast_cfg(k_models=3)
@@ -208,7 +207,7 @@ class TestInfer:
             assert part.ids == d_ul.ids() and np.array_equal(part.labels, alone.labels)
 
     def test_no_encoder_and_no_embeddings_rejected(self):
-        scores = Scores(score_c=0.5, score_ari=0.5, score=0.5)
+        scores = Scores(score_c=0.5, score_ari=0.5)
         art = BaseModelArtifact(split_seed=0, params=OpticsParams(0.2, 0.05, 5), val_scores=scores)
         with pytest.raises(DdceError, match="base model 0 has no encoder"):
             infer(UnlabeledDataset(rows=[]), [art], fast_cfg())
@@ -522,9 +521,9 @@ class TestSweeps:
 class TestConfigSerialization:
     def test_roundtrip(self):
         cfg = fast_cfg(alpha=0.4, consensus_fn="CHM", metric="euclidean")
-        obj = config_to_dict(cfg)
+        obj = to_dict(cfg)
         back = config_from_dict(json.loads(json.dumps(obj)))
-        assert config_to_dict(back) == obj
+        assert to_dict(back) == obj
 
     def test_unknown_key_rejected(self):
         with pytest.raises(DdceError, match="unknown config keys"):
@@ -540,7 +539,7 @@ class TestConfigSerialization:
 
     def test_int_for_float_passes_through(self):
         obj = {"alpha": 0.5, "search_space": {"max_eps_range": [0, 1], "n_trials": 3}}
-        out = config_to_dict(config_from_dict(obj))
+        out = to_dict(config_from_dict(obj))
         assert json.dumps(out["search_space"]["max_eps_range"]) == "[0, 1]"
 
     @pytest.mark.parametrize("obj, message", [
@@ -573,6 +572,9 @@ class TestConfigSerialization:
         ({"k_models": 0}, "k_models"),
         ({"consensus_fn": "bokv"}, "unknown consensus function 'bokv'"),
         ({"metric": "manhattan"}, "unknown metric 'manhattan'"),
+        ({"search_space": {"max_eps_range": [0, 10**400]}}, r"max_eps_range\[1\]: integer beyond"),
+        ({"outlier_ratio": 10**400}, "outlier_ratio: integer beyond the largest float"),
+        ({"train_cfg": {"learning_rate": -10**400}}, "learning_rate: integer beyond"),
     ])
     def test_out_of_range_values_rejected(self, obj, key):
         with pytest.raises(DdceError, match=key):
@@ -581,7 +583,7 @@ class TestConfigSerialization:
     def test_range_bounds_accepted(self):
         obj = {"s_min": 1, "outlier_ratio": 0,
                "search_space": {"xi_range": [0, 1], "max_eps_range": [0, 2]}}
-        assert config_to_dict(config_from_dict(obj))["search_space"]["xi_range"] == [0, 1]
+        assert to_dict(config_from_dict(obj))["search_space"]["xi_range"] == [0, 1]
 
 
 class TestArtifactSerialization:
@@ -590,11 +592,13 @@ class TestArtifactSerialization:
         # name, and JSON's shortest float repr keeps the weights' values.
         d_l, _, source = make_benchmark()
         art = train_base_models(d_l, source, fast_cfg(k_models=1))[0]
-        obj = json.loads(json.dumps(artifact_to_dict(art)))
+        obj = json.loads(json.dumps(to_dict(art)))
         assert list(obj) == ["split_seed", "params", "val_scores", "encoder_val_accuracy",
                              "encoder"]
         assert OpticsParams(**obj["params"]) == art.params
-        assert Scores(**obj["val_scores"]) == art.val_scores
+        assert obj["val_scores"] == {"score_c": art.val_scores.score_c,
+                                     "score_ari": art.val_scores.score_ari,
+                                     "score": art.val_scores.score}
         assert obj["encoder_val_accuracy"] == art.encoder_val_accuracy
         assert obj["encoder"]["class_labels"] == list(art.encoder.class_labels)
         for name in ("W", "b", "U", "c"):

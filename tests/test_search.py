@@ -43,24 +43,31 @@ class TestSampleParams:
             SearchSpace(min_samples_range=(2, 2**63))
 
     def test_lower_endpoint_redrawn(self):
-        # rng.uniform can return lo itself; the open interval excludes it.
+        # rng.uniform can return lo itself, or round up to hi; the open
+        # interval excludes both.
         class Stub:
             def __init__(self):
                 self.draws = []
 
             def uniform(self, lo, hi):
                 self.draws.append((lo, hi))
-                return lo if len(self.draws) == 1 else (lo + hi) / 2
+                return {1: lo, 2: hi}.get(len(self.draws), (lo + hi) / 2)
 
         stub = Stub()
         assert _open_uniform(stub, 0.1, 0.3) == 0.2
-        assert stub.draws == [(0.1, 0.3), (0.1, 0.3)]
+        assert stub.draws == [(0.1, 0.3)] * 3
 
     def test_invalid_space_rejected(self):
         with pytest.raises(DdceError):
             SearchSpace(max_eps_range=(0.5, 0.5))
         with pytest.raises(DdceError):
             SearchSpace(min_samples_range=(1, 20))
+        # Ranges with no float strictly inside, where a redraw would never end.
+        with pytest.raises(DdceError, match="empty max_eps range .*no float strictly inside"):
+            SearchSpace(max_eps_range=(0.0, 5e-324))
+        with pytest.raises(DdceError, match="empty xi range .*no float strictly inside"):
+            SearchSpace(xi_range=(np.nextafter(1.0, 0.0), 1.0))
+        SearchSpace(xi_range=(0.9999999999999998, 1.0))  # holds 1 - 2**-53
 
 
 def synthetic_validation(seed: int, outlier_ratio: float = 0.2):
