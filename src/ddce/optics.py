@@ -10,10 +10,9 @@ and only those are evaluated in float64 by the exact per-pair expression,
 each pair once; the distance is symmetric to the last bit, so it is
 mirrored into the other row. Only the pairs within max_eps are kept, so
 memory scales with their number, not with n².
-The ordering loop visits only the points that can take part in a block:
-a point with no core distance and no core point within max_eps is placed
-by index, outside the loop. The intended scale is thousands of points,
-not millions.
+The ordering loop closes a start with no core distance as a block of its
+own, without scanning for the next point. The intended scale is thousands
+of points, not millions.
 """
 
 from __future__ import annotations
@@ -338,15 +337,11 @@ def compute_ordering(
     unprocessed point (index order), repeatedly processing the unreached
     point with the smallest tentative reachability, ties broken by
     smallest index. ``nbrs.radius`` must be at least ``params.max_eps``,
-    and the structure must be symmetric, as :func:`pairwise_distances`
-    builds it: j in row i exactly when i is in row j, with the same
-    distance bytes.
+    and each row must hold the point itself and be sorted by (distance,
+    index), as :func:`pairwise_distances` builds it.
 
-    A *lone* point has no core distance and lies in no core point's
-    max_eps prefix. Nothing reaches it and it relaxes nothing, so it forms
-    a block of its own wherever the scan of starts meets it. The loop runs
-    over the other starts only, and one stable sort by each block's start
-    puts the lone points back in place."""
+    A start with no core distance relaxes nothing, so it is closed as a
+    block of its own before any scan for the next point."""
     if params.max_eps > nbrs.radius:
         raise DdceError(f"max_eps {params.max_eps} exceeds the neighbourhood radius {nbrs.radius}")
     n = nbrs.shape[0]
@@ -364,18 +359,6 @@ def compute_ordering(
     core = np.full(n, np.inf)
     core[has_core] = distances[starts[has_core] + k - 1]
 
-    # By symmetry, a core point has p in its prefix exactly when p's own
-    # prefix holds a core point, so only the coreless prefixes, each
-    # shorter than min_samples, are read.
-    coreless = np.flatnonzero(~has_core)
-    lengths = (ends - starts)[coreless]
-    owner = np.repeat(coreless, lengths)
-    first = np.cumsum(lengths) - lengths  # each prefix's first position in owner
-    entry = np.arange(len(owner)) + np.repeat(starts[coreless] - first, lengths)
-    reached = owner[has_core[indices[entry]]]
-    lone = ~has_core
-    lone[reached] = False
-
     reach = np.full(n, np.inf)
     inf = np.inf
     core_list = core.tolist()
@@ -389,12 +372,15 @@ def compute_ordering(
     open_reach = np.full(n, inf)
     best = np.full(n, inf)
     order = []
-    block_starts = []
-    block_sizes = []
-    for start in np.flatnonzero(~lone).tolist():
+    for start in range(n):
         if best[start] == -inf:
             continue
-        size = len(order)
+        if core_list[start] == inf:
+            # Nothing is open between blocks, and a point without a core
+            # distance relaxes nothing: it is a block of its own.
+            best[start] = -inf
+            order.append(start)
+            continue
         current = start
         while True:
             reach[current] = best[current]
@@ -415,12 +401,7 @@ def compute_ordering(
             if open_reach[current] == inf:
                 break
             open_reach[current] = inf
-        block_starts.append(start)
-        block_sizes.append(len(order) - size)
-    lone_points = np.flatnonzero(lone)
-    keys = np.concatenate([np.repeat(np.array(block_starts, dtype=int), block_sizes), lone_points])
-    merged = np.concatenate([np.array(order, dtype=int), lone_points])
-    return ReachabilityOrdering(order=merged[np.argsort(keys, kind="stable")], reachability=reach,
+    return ReachabilityOrdering(order=np.array(order, dtype=int), reachability=reach,
                                 core_distance=core, ids=list(ids))
 
 

@@ -436,6 +436,16 @@ class TestComputeOrdering:
         restored[perm] = permuted.labels
         assert ari_labels(base.labels, restored) == 1.0
 
+    def test_permutation_on_asymmetric_rows(self):
+        # Row 0 holds point 1, but row 1 does not hold point 0: point 1 has
+        # no core distance, yet the core point 0 reaches it.
+        nbrs = Neighbourhood(indptr=np.array([0, 2, 3]), indices=np.array([0, 1, 1]),
+                             distances=np.array([0.0, 0.1, 0.0]), radius=1.0)
+        got = compute_ordering(nbrs, ["a", "b"], OpticsParams(0.5, 0.05, 2))
+        assert got.order.tolist() == [0, 1]
+        assert got.reachability.tolist() == [np.inf, 0.1]
+        assert extract_xi_clusters(got, 0.05, 2).labels.size == 2
+
 
 class TestOrderingFromDistances:
     @pytest.mark.parametrize("seed", range(40))

@@ -1,5 +1,7 @@
 import json
+import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -603,3 +605,12 @@ class TestArtifactSerialization:
         assert obj["encoder"]["class_labels"] == list(art.encoder.class_labels)
         for name in ("W", "b", "U", "c"):
             assert np.array(obj["encoder"][name]).tobytes() == getattr(art.encoder, name).tobytes()
+
+
+def test_readme_library_example_runs(capsys):
+    # The README's one python block uses the public API only; run it as
+    # written so that it cannot fall out of step with the package.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.S | re.M)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("Scores(score_c=")
