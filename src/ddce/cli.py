@@ -90,7 +90,7 @@ def _cmd_synth(args) -> int:
     # either file is written.
     embed.save_embeddings(oracle, os.path.join(args.out, "oracle.emb1"))
     corpus.save_jsonl(dataset, os.path.join(args.out, "labeled.jsonl"))
-    print(f"wrote {dataset.N} rows across {dataset.O} intents to {args.out}")
+    print(f"wrote {len(dataset.rows)} rows across {dataset.O} intents to {args.out}")
     return 0
 
 
@@ -100,7 +100,7 @@ def _cmd_inject(args) -> int:
     source = corpus.load_unlabeled_jsonl(args.source)
     injected = corpus.inject_outliers(target, source, args.ratio, substream(args.seed, "inject"))
     corpus.save_jsonl(injected, os.path.join(args.out, "injected.jsonl"))
-    print(f"injected {injected.M - target.M} outliers into {target.M} rows")
+    print(f"injected {len(injected.rows) - len(target.rows)} outliers into {len(target.rows)} rows")
     return 0
 
 

@@ -28,8 +28,9 @@ class Utterance:
 
 
 @dataclass(frozen=True)
-class Dataset:
-    """Utterance rows with unique ids; the base of both dataset types."""
+class UnlabeledDataset:
+    """Utterance rows with unique ids, to be clustered; an intent, when
+    present, is hidden ground truth."""
 
     rows: list[Utterance] = field(default_factory=list)
 
@@ -48,8 +49,9 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class LabeledDataset(Dataset):
-    """Utterances with intent labels; injected outlier rows may be appended."""
+class LabeledDataset(UnlabeledDataset):
+    """Utterances with intent labels; injected outlier rows may be appended.
+    Where unlabeled data is expected, the intents are its hidden ground truth."""
 
     def __post_init__(self):
         super().__post_init__()
@@ -64,23 +66,6 @@ class LabeledDataset(Dataset):
     @property
     def O(self) -> int:
         return len(self.intents)
-
-    @property
-    def N(self) -> int:
-        return len(self.rows)
-
-    def to_unlabeled(self) -> "UnlabeledDataset":
-        """Reinterpret as unlabeled data; intents are kept as hidden ground truth."""
-        return UnlabeledDataset(rows=list(self.rows))
-
-
-@dataclass(frozen=True)
-class UnlabeledDataset(Dataset):
-    """Utterances to be clustered; intent, when present, is hidden ground truth."""
-
-    @property
-    def M(self) -> int:
-        return len(self.rows)
 
 
 @dataclass(frozen=True)
@@ -146,19 +131,19 @@ def inner_split(
     return LabeledDataset(rows=train_rows), LabeledDataset(rows=val_rows)
 
 
-def append_outliers(d: Dataset, source: UnlabeledDataset, ratio: float, pick) -> Dataset:
+def append_outliers(d: UnlabeledDataset, source: UnlabeledDataset, ratio: float, pick):
     """Append round(ratio * |d|) rows of ``source``, those at the indices
     ``pick(n)`` returns in that order, flagged as injected outliers with the
     intent cleared. Returns a dataset of the same type as ``d``; original
     rows untouched."""
     if not 0.0 <= ratio < math.inf:
         raise DdceError(f"outlier ratio must be finite and nonnegative, got {ratio}")
-    # round_half_up(wanted) > source.M exactly when wanted >= source.M + 0.5;
+    # round_half_up(wanted) > n_source exactly when wanted >= n_source + 0.5;
     # compared unrounded, since a huge finite ratio can make wanted inf.
-    wanted = ratio * len(d.rows)
-    if wanted >= source.M + 0.5:
+    wanted, n_source = ratio * len(d.rows), len(source.rows)
+    if wanted >= n_source + 0.5:
         raise DdceError(
-            f"outlier source has {source.M} rows, need {ratio:g} x {len(d.rows)} = {wanted:g}"
+            f"outlier source has {n_source} rows, need {ratio:g} x {len(d.rows)} = {wanted:g}"
         )
     n_inject = round_half_up(wanted)
     if n_inject == 0:
@@ -173,10 +158,12 @@ def append_outliers(d: Dataset, source: UnlabeledDataset, ratio: float, pick) ->
     return type(d)(rows=list(d.rows) + injected)
 
 
-def inject_outliers(d: Dataset, source: UnlabeledDataset, ratio: float, rng: np.random.Generator):
+def inject_outliers(
+    d: UnlabeledDataset, source: UnlabeledDataset, ratio: float, rng: np.random.Generator
+):
     """:func:`append_outliers` with the rows sampled without replacement."""
     return append_outliers(
-        d, source, ratio, lambda n: sorted(rng.choice(source.M, size=n, replace=False))
+        d, source, ratio, lambda n: sorted(rng.choice(len(source.rows), size=n, replace=False))
     )
 
 
@@ -281,7 +268,7 @@ def _obj_to_row(obj: dict, where: str) -> Utterance:
     return Utterance(id=obj["id"], text=obj["text"], intent=intent, is_injected_outlier=outlier)
 
 
-def save_jsonl(dataset: Dataset, path: str) -> None:
+def save_jsonl(dataset: UnlabeledDataset, path: str) -> None:
     """Write a dataset as one JSON object per line, UTF-8, LF endings."""
     write_jsonl(path, map(_row_to_obj, dataset.rows))
 

@@ -72,11 +72,11 @@ def kmeans_baseline(
 ) -> optics.Partition:
     """Centroid baseline: k-means at the inferred cluster count; singleton
     clusters become outliers."""
-    if d_l.N == 0 or d_l.O == 0:
+    if d_l.O == 0:
         raise DdceError("kmeans baseline needs a non-empty labeled dataset")
-    if d_ul.M == 0:
+    if len(d_ul.rows) == 0:
         return optics.Partition(labels=np.empty(0, dtype=int), ids=[])
-    k_c = baseline_cluster_count(d_l.N, d_l.O, d_ul.M)
+    k_c = baseline_cluster_count(len(d_l.rows), d_l.O, len(d_ul.rows))
     if embeddings is not None:
         e_ul = embeddings.rows_for_ids(d_ul.ids())
     else:
@@ -147,7 +147,7 @@ def sweep_outlier_ratio(
     The injected sets are nested (one seeded shuffle of the source,
     prefix-sliced per ratio), so ratios differ only in added outlier mass.
     Base-model stage one does not read the ratio and runs once for all."""
-    perm = substream(cfg.master_seed, "test-inject").permutation(outlier_source.M)
+    perm = substream(cfg.master_seed, "test-inject").permutation(len(outlier_source.rows))
     tests = [append_outliers(d_ul_clean, outlier_source, r, lambda n: perm[:n]) for r in ratios]
     _require_ground_truth(*tests)
     stage_one = list(split_and_train(d_l, cfg)) if tests else []

@@ -75,12 +75,9 @@ def make_benchmark(
     src, _ = generate_synthetic(
         source_intents, 2, 8, 0.4, np.random.default_rng(seed + 991), label_prefix="noise"
     )
-    source = src.to_unlabeled()
     if test_outlier_ratio > 0:
-        d_ul = inject_outliers(
-            d_ul, source, test_outlier_ratio, np.random.default_rng(seed + 17)
-        )
-    return d_l, d_ul, source
+        d_ul = inject_outliers(d_ul, src, test_outlier_ratio, np.random.default_rng(seed + 17))
+    return d_l, d_ul, src
 
 
 def make_ratio_sweep_benchmark(seed: int, o: int = 16, novel: int = 5, rows: int = 30):

@@ -2,8 +2,8 @@
 line of ``src/ddce`` unrun.
 
 It traces with the stdlib ``sys.settrace``, so it needs nothing beyond
-pytest. Tracing makes the suite about 1.6 times slower, so it is not
-part of the tier-1 command; run it on its own over the whole suite:
+pytest. Tracing makes the suite about twice as slow, so the plain
+tier-1 command leaves it out; run it over the whole suite with:
 
     PYTHONPATH=src:tests python -m pytest -q -p linetrace
 

@@ -43,15 +43,16 @@ class TestDatasetModel:
 
     def test_counts(self):
         d = make_labeled({"a": 3, "b": 2})
-        assert d.O == 2 and d.N == 5 and d.intents == ("a", "b")
+        assert d.O == 2 and len(d.rows) == 5 and d.intents == ("a", "b")
 
     def test_labeled_and_unlabeled_with_same_rows_differ(self):
         d = make_labeled({"a": 3, "b": 2})
         u = UnlabeledDataset(rows=list(d.rows))
         assert d.texts() == u.texts() and d.ids() == u.ids()
         assert d != u and u != d
-        assert d.to_unlabeled() == u
         assert LabeledDataset(rows=list(d.rows)) == d
+        # Any labeled set is valid unlabeled input, its intents the hidden truth.
+        assert isinstance(d, UnlabeledDataset)
 
 
 class TestSplitByIntents:
@@ -111,7 +112,7 @@ class TestInnerSplit:
         d = make_labeled({"a": 2, "b": 2})
         train, val = inner_split(d, 0.5, seeded())
         assert train.intents == val.intents == ("a", "b")
-        assert train.N == val.N == 2
+        assert len(train.rows) == len(val.rows) == 2
 
     def test_determinism(self):
         d = make_labeled({"a": 6, "b": 6})
@@ -145,7 +146,7 @@ class TestInjectOutliers:
     def test_count_rounding(self):
         d = make_labeled({f"i{k}": 10 for k in range(10)})
         out = inject_outliers(d, outlier_source(), 0.547, seeded())
-        assert out.N == 100 + 55
+        assert len(out.rows) == 100 + 55
         assert sum(1 for r in out.rows if r.is_injected_outlier) == 55
 
     def test_ratio_zero_is_identity(self):
@@ -172,15 +173,15 @@ class TestInjectOutliers:
     def test_half_row_rounds_up_against_source(self):
         # 0.5 x 5 = 2.5 rounds up to 3: enough with a 3-row source, one short with 2.
         d = make_labeled({"a": 5})
-        assert inject_outliers(d, outlier_source(n=3), 0.5, seeded()).N == 8
+        assert len(inject_outliers(d, outlier_source(n=3), 0.5, seeded()).rows) == 8
         with pytest.raises(DdceError, match=r"outlier source has 2 rows, need 0.5 x 5 = 2.5"):
             inject_outliers(d, outlier_source(n=2), 0.5, seeded())
 
     def test_original_rows_untouched_and_flagged(self):
         d = make_labeled({"a": 4, "b": 4})
         out = inject_outliers(d, outlier_source(), 0.5, seeded())
-        assert out.rows[: d.N] == d.rows
-        for row in out.rows[d.N :]:
+        assert out.rows[: len(d.rows)] == d.rows
+        for row in out.rows[len(d.rows) :]:
             assert row.is_injected_outlier and row.intent is None
 
     def test_id_collision_detected(self):
@@ -192,20 +193,20 @@ class TestInjectOutliers:
             inject_outliers(d, clash, 0.5, seeded())
 
     def test_works_on_unlabeled(self):
-        d = make_labeled({"a": 4}).to_unlabeled()
+        d = UnlabeledDataset(rows=make_labeled({"a": 4}).rows)
         out = inject_outliers(d, outlier_source(), 0.5, seeded())
-        assert isinstance(out, UnlabeledDataset) and out.M == 6
+        assert type(out) is UnlabeledDataset and len(out.rows) == 6
 
     def test_keeps_labeled_type(self):
         d = make_labeled({"a": 4})
         out = inject_outliers(d, outlier_source(), 0.5, seeded())
-        assert type(out) is LabeledDataset and out.N == 6 and out.intents == ("a",)
+        assert type(out) is LabeledDataset and len(out.rows) == 6 and out.intents == ("a",)
 
 
 class TestGenerateSynthetic:
     def test_counts(self):
         d, oracle = generate_synthetic(10, 30, 8, 0.1, seeded())
-        assert d.O == 10 and d.N == 300
+        assert d.O == 10 and len(d.rows) == 300
         assert oracle.n == 300 and oracle.d == 8
         assert oracle.row_ids == [r.id for r in d.rows]
 
@@ -267,7 +268,7 @@ class TestCapAndJsonl:
         save_jsonl(d, path)
         assert load_labeled_jsonl(path) == d
         # Injected outliers carry no intent, so they round-trip as unlabeled rows.
-        d = inject_outliers(d.to_unlabeled(), outlier_source(), 0.4, seeded())
+        d = inject_outliers(UnlabeledDataset(rows=d.rows), outlier_source(), 0.4, seeded())
         save_jsonl(d, path)
         assert load_unlabeled_jsonl(path) == d
 

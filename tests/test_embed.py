@@ -156,7 +156,7 @@ class TestTrainEncoder:
         train, val = self._synthetic_split(seed=4, n_intents=4, rows=8)
         history: list[float] = []
         cfg = TrainConfig(
-            learning_rate=0.001, epochs=12, batch_size=train.N,
+            learning_rate=0.001, epochs=12, batch_size=len(train.rows),
             feature_dim=64, hidden_dim=16,
         )
         train_encoder(train, val, cfg, 0, loss_history=history)

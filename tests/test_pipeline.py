@@ -1,5 +1,6 @@
 import json
 import re
+import shlex
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from ddce import optics, pipeline
+from ddce import cli, optics, pipeline
 from ddce.corpus import (
     UnlabeledDataset, Utterance, append_outliers, generate_synthetic, inject_outliers,
 )
@@ -90,7 +91,7 @@ class TestTrainBaseModels:
             data=np.vstack([oracle.data, src_oracle.data]),
             row_ids=oracle.row_ids + src_oracle.row_ids,
         )
-        arts = train_base_models(d_all, src.to_unlabeled(), fast_cfg(), embeddings=combined)
+        arts = train_base_models(d_all, src, fast_cfg(), embeddings=combined)
         assert all(a.encoder is None for a in arts)
         assert all(a.encoder_val_accuracy is None for a in arts)
 
@@ -450,7 +451,7 @@ class TestSweeps:
         cfg = fast_cfg(k_models=3)
         ratios = [0.25, 0.5, 1.0]
         rows, _ = sweep_outlier_ratio(d_l, d_ul, source, cfg, ratios)
-        perm = substream(cfg.master_seed, "test-inject").permutation(source.M)
+        perm = substream(cfg.master_seed, "test-inject").permutation(len(source.rows))
         for row, ratio in zip(rows, ratios):
             d_test = append_outliers(d_ul, source, ratio, lambda n: perm[:n])
             report = run_ddce(
@@ -614,3 +615,22 @@ def test_readme_library_example_runs(capsys):
     (block,) = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.S | re.M)
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.startswith("Scores(score_c=")
+
+
+def test_readme_cli_walkthrough_runs(tmp_path, monkeypatch, capsys):
+    # Steps 1-4 of the README's CLI walkthrough, each command run as
+    # written from an empty directory: every input a step reads is written
+    # by an earlier step.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```sh\n(# 1\. synthesize.*?)^# other commands$", readme,
+                          flags=re.S | re.M)
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line and not line.startswith("#")]
+    assert [argv[:2] for argv in commands] == [
+        ["ddce", "synth"], ["ddce", "synth"], ["ddce", "synth"],
+        ["ddce", "inject"], ["ddce", "ensemble"], ["ddce", "evaluate"],
+    ]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, (argv, capsys.readouterr().err)
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["score"] > 0

@@ -77,7 +77,7 @@ def synthetic_validation(seed: int, outlier_ratio: float = 0.2):
     src, src_oracle = generate_synthetic(
         40, 2, 8, 0.3, np.random.default_rng(seed + 1000), label_prefix="noise"
     )
-    truth = inject_outliers(d, src.to_unlabeled(), outlier_ratio, np.random.default_rng(seed + 2))
+    truth = inject_outliers(d, src, outlier_ratio, np.random.default_rng(seed + 2))
     combined = EmbeddingMatrix(
         data=np.vstack([oracle.data, src_oracle.data]),
         row_ids=oracle.row_ids + src_oracle.row_ids,
