@@ -195,9 +195,9 @@ def _hgpa_descend(H, k, part) -> int:
         part[v] = dst
 
 
-def hgpa(ts: PartitionSet, seed: int = 0, k: int | None = None) -> Partition:
+def hgpa(ts: PartitionSet, seed: int = 0) -> Partition:
     """Hypergraph partitioning consensus: greedy balanced minimum
-    hyperedge cut into k parts (the consensus cluster count by default).
+    hyperedge cut into k parts, k the consensus cluster count.
 
     Each restart draws a random balanced assignment from a stream derived
     from the seed, then applies best-improvement single-vertex moves
@@ -209,12 +209,10 @@ def hgpa(ts: PartitionSet, seed: int = 0, k: int | None = None) -> Partition:
     for each edge spanning two parts where the vertex is alone on its side
     and the target is the other part.
     """
-    if k is not None and k < 1:
-        raise DdceError(f"hgpa needs k >= 1, got {k}")
     n = ts.n
     if n == 0:
         return Partition(labels=np.empty(0, dtype=int), ids=ts.ids)
-    k = min(k_target(ts) if k is None else k, n)
+    k = k_target(ts)  # at most n: no base partition has more than n clusters
     H = ts.incidence
     best_part = None
     best_cut = None
@@ -241,7 +239,7 @@ def mcla(ts: PartitionSet) -> Partition:
     inter = H.T @ H
     size = np.diag(inter)
     jd = 1.0 - inter / (size[:, None] + size[None, :] - inter)
-    meta = average_linkage_labels(jd, min(k_target(ts), m))
+    meta = average_linkage_labels(jd, k_target(ts))
     assoc = H @ (meta[:, None] == np.arange(int(meta.max()) + 1)) / ts.k
     has_any = assoc.sum(axis=1) > 0.0
     labels[has_any] = np.argmax(assoc[has_any], axis=1)

@@ -120,10 +120,12 @@ def train_base_models(
                 split.hs, outlier_source, cfg.outlier_ratio,
                 substream(cfg.master_seed, "inject", k),
             )
-            if encoder is None:
-                e_hs = embeddings.rows_for_ids(hs_val.ids())
-            else:
+            if encoder is not None:
                 e_hs = encode(encoder, hs_val.texts(), ids=hs_val.ids())
+            elif embeddings is None:
+                raise DdceError("no encoder and no embeddings were given")
+            else:
+                e_hs = embeddings.rows_for_ids(hs_val.ids())
             result = random_search(
                 e_hs, hs_val, cfg.search_space, cfg.s_min,
                 seed=derive_seed(cfg.master_seed, "search", k), metric=cfg.metric,
@@ -133,8 +135,8 @@ def train_base_models(
         artifacts.append(
             BaseModelArtifact(
                 encoder=encoder,
-                params=result.best_params,
-                val_scores=result.best_scores,
+                params=result.best.params,
+                val_scores=result.best.scores,
                 split_seed=k,
                 encoder_val_accuracy=enc_acc,
             )

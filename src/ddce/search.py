@@ -3,7 +3,7 @@ with injected outliers."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,16 +41,14 @@ class SearchSpace:
 
 @dataclass(frozen=True)
 class Trial:
-    index: int
     params: optics.OpticsParams
     scores: metrics.Scores
 
 
 @dataclass(frozen=True)
 class SearchResult:
-    best_params: optics.OpticsParams
-    best_scores: metrics.Scores
-    trials: list[Trial] = field(default_factory=list)
+    best: Trial  # the first highest-scoring element of trials
+    trials: list[Trial]
 
 
 def _open_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
@@ -81,7 +79,7 @@ def random_search(
     metric: str = "cosine",
 ) -> SearchResult:
     """Run ``space.n_trials`` independent trials of sample/cluster/score and
-    keep the highest-scoring parameters (earliest trial on ties).
+    return every trial, in order, with the first highest-scoring one.
 
     Each trial draws from its own stream derived from (seed, trial index),
     so results do not depend on evaluation order. The neighbourhood
@@ -98,16 +96,16 @@ def random_search(
     for t in range(space.n_trials):
         params = sample_params(space, substream(seed, "trial", t))
         part = optics.cluster_with_distances(nbrs, e_hs.row_ids, params, s_min)
-        trials.append(Trial(t, params, metrics.score_against(truth_labels, part)))
-    best = max(trials, key=lambda trial: trial.scores.score)  # first maximum: earliest on ties
-    return SearchResult(best_params=best.params, best_scores=best.scores, trials=trials)
+        trials.append(Trial(params, metrics.score_against(truth_labels, part)))
+    # max returns the first maximum, so ties go to the earliest trial.
+    return SearchResult(max(trials, key=lambda trial: trial.scores.score), trials)
 
 
 def trials_to_csv(result: SearchResult) -> str:
     header = ["trial_idx", "max_eps", "xi", "min_samples", "score_c", "score_ari", "score"]
-    return csv_text(header, ([t.index, t.params.max_eps, t.params.xi, t.params.min_samples,
+    return csv_text(header, ([i, t.params.max_eps, t.params.xi, t.params.min_samples,
                               t.scores.score_c, t.scores.score_ari, t.scores.score]
-                             for t in result.trials))
+                             for i, t in enumerate(result.trials)))
 
 
 def save_trial_log(result: SearchResult, path: str) -> None:

@@ -188,8 +188,9 @@ class TestHgpa:
         assert nmi(out, ts.partitions[0]) == 1.0
 
     def test_single_cluster_forced_two_parts(self):
-        ts = TS([[0, 0, 0, 0, 0, 0]])
-        out = hgpa(ts, seed=0, k=2)
+        # k_target is 2, so the one six-member cluster must be cut.
+        ts = TS([[0, 0, 0, 0, 0, 0], [0, 0, 0, 1, 1, 1], [0, 0, 0, 1, 1, 1]])
+        out = hgpa(ts, seed=0)
         sizes = np.bincount(out.labels)
         assert sorted(sizes.tolist()) == [3, 3]
         assert hyperedge_cut(ts, out.labels) == 1
@@ -197,10 +198,12 @@ class TestHgpa:
     def test_eight_point_instance_matches_balanced_split_oracle(self):
         labelsets = [
             [0, 0, 0, 0, 1, 1, 1, 1],
+            [0, 0, 0, 0, 1, 1, 1, 1],
             [0, 0, 1, 1, 2, 2, 3, 3],
         ]
         ts = TS(labelsets)
-        out = hgpa(ts, seed=0, k=2)
+        assert k_target(ts) == 2
+        out = hgpa(ts, seed=0)
         edges = ref_hyperedges(labelsets)
         oracle_best = min(
             hyperedge_cut_value(edges, labels) for labels in balanced_splits(8, 2)
@@ -221,18 +224,14 @@ class TestHgpa:
         b = hgpa(ts, seed=5)
         assert np.array_equal(a.labels, b.labels)
 
-    @pytest.mark.parametrize("labelsets, k", [
-        ([[0, 0, 1, 1, 2], [0, 1, 1, 2, 2]], 1),
-        ([[-1, -1, -1, -1]] * 2, None),  # no hyperedges, so k_target is 1
+    @pytest.mark.parametrize("labelsets", [
+        [[0, 0, 1, 1, 2], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]],  # counts 3, 1, 1
+        [[-1, -1, -1, -1]] * 2,  # no hyperedges
     ])
-    def test_one_part_or_no_hyperedges_all_zero(self, labelsets, k):
+    def test_one_part_or_no_hyperedges_all_zero(self, labelsets):
         ts = TS(labelsets)
-        assert hgpa(ts, seed=2, k=k).labels.tolist() == [0] * ts.n
-
-    @pytest.mark.parametrize("k", [0, -1])
-    def test_k_below_one_rejected(self, k):
-        with pytest.raises(DdceError, match="k >= 1"):
-            hgpa(TS([[0, 0, 1, 1]]), k=k)
+        assert k_target(ts) == 1
+        assert hgpa(ts, seed=2).labels.tolist() == [0] * ts.n
 
 
 class TestMcla:
@@ -311,14 +310,11 @@ class TestIncidenceOracles:
 
 
 class TestHgpaOracle:
-    @pytest.mark.parametrize("seed", range(60))
+    @pytest.mark.parametrize("seed", range(180))
     def test_matches_brute_force_cut_oracle(self, seed):
-        """Labels equal the oracle's at the default k, at 1 and at a random k."""
+        """Labels equal the oracle's at k_target."""
         labelsets = random_labelsets(seed)
-        ts = TS(labelsets)
-        random_k = int(np.random.default_rng(2000 + seed).integers(1, ts.n + 1))
-        for k in (None, 1, random_k):
-            assert hgpa(ts, seed=seed, k=k).labels.tolist() == ref_hgpa(labelsets, seed, k)
+        assert hgpa(TS(labelsets), seed=seed).labels.tolist() == ref_hgpa(labelsets, seed)
 
 
 class TestMclaOracle:

@@ -127,6 +127,13 @@ class TestStageOne:
         assert [a.val_scores for a in reused] == [a.val_scores for a in fresh]
         assert [a.encoder_val_accuracy for a in reused] == [a.encoder_val_accuracy for a in fresh]
 
+    def test_given_stage_one_without_encoders_needs_embeddings(self):
+        d_l, _, source = make_benchmark()
+        cfg = fast_cfg()
+        stage_one = split_and_train(d_l, cfg, with_encoder=False)
+        with pytest.raises(DdceError, match="^base model 0: no encoder and no embeddings were given$"):
+            train_base_models(d_l, source, cfg, stage_one=stage_one)
+
     def test_model_k_finishes_before_model_k_plus_one_trains(self, monkeypatch):
         trained = []
         real_train = pipeline.train_encoder
@@ -615,6 +622,13 @@ def test_readme_library_example_runs(capsys):
     (block,) = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.S | re.M)
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.startswith("Scores(score_c=")
+
+
+def test_readme_configuration_shows_the_defaults():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"^```json\n(.*?)^```$", section, flags=re.S | re.M)
+    assert json.loads(block) == to_dict(PipelineConfig())
 
 
 def test_readme_cli_walkthrough_runs(tmp_path, monkeypatch, capsys):

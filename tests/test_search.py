@@ -147,35 +147,35 @@ class TestRandomSearch:
         result = random_search(e_hs, truth, space, 2, seed=3)
         scores = {t.scores.score for t in result.trials}
         assert len(scores) == 1
-        assert result.best_scores.score == result.trials[0].scores.score
+        assert result.best is result.trials[0]
 
     def test_best_is_max_of_log_earliest_tie(self):
         truth, e_hs = synthetic_validation(2)
         result = random_search(e_hs, truth, SearchSpace(n_trials=25), 2, seed=9)
         best = max(t.scores.score for t in result.trials)
-        assert result.best_scores.score == best
         first_best = next(t for t in result.trials if t.scores.score == best)
-        assert result.best_params == first_best.params
+        assert result.best is first_best
+        assert result.best.scores.score == best
 
     def test_deterministic(self):
         truth, e_hs = synthetic_validation(3)
         r1 = random_search(e_hs, truth, SearchSpace(n_trials=15), 2, seed=4)
         r2 = random_search(e_hs, truth, SearchSpace(n_trials=15), 2, seed=4)
-        assert r1.best_params == r2.best_params
+        assert r1.best.params == r2.best.params
         assert [t.scores.score for t in r1.trials] == [t.scores.score for t in r2.trials]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_synthetic_blobs_reach_good_score(self, seed):
         truth, e_hs = synthetic_validation(100 + seed)
         result = random_search(e_hs, truth, SearchSpace(), 2, seed=seed)
-        assert result.best_scores.score >= 0.7
+        assert result.best.scores.score >= 0.7
 
     def test_trial_log_csv_shape(self):
         truth, e_hs = synthetic_validation(4)
         result = random_search(e_hs, truth, SearchSpace(n_trials=5), 2, seed=0)
         lines = trials_to_csv(result).strip().splitlines()
         assert lines[0] == "trial_idx,max_eps,xi,min_samples,score_c,score_ari,score"
-        assert len(lines) == 6
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3", "4"]
 
     def test_save_trial_log_writes_the_csv(self, tmp_path):
         truth, e_hs = synthetic_validation(4)
